@@ -21,13 +21,8 @@ from .domain import (
 from .fit import FitConfig, best_fit, closed_form_ifr
 from .infection import CalibrationResult, anchor_sum, calibrate_m, estimate_infections
 from .ingest import ColumnMapping, RepairPolicy, load_dataset, write_dataset_csv
-from .intervals import IntervalConfig, IntervalReport, compute_residuals, fit_intervals
-from .lagmodel import (
-    LagDistribution,
-    ShiftedSeries,
-    shift_expectation,
-    shift_expectation_elongated,
-)
+from .intervals import IntervalConfig, IntervalReport, fit_intervals
+from .lagmodel import LagDistribution, shift_expectation, shift_expectation_elongated
 from .synth import Regime, Scenario, default_scenario, generate_deaths, generate_observables
 
 __all__ = [
@@ -44,13 +39,11 @@ __all__ = [
     "Regime",
     "RepairPolicy",
     "Scenario",
-    "ShiftedSeries",
     "anchor_from_study",
     "anchor_sum",
     "best_fit",
     "calibrate_m",
     "closed_form_ifr",
-    "compute_residuals",
     "default_scenario",
     "error_metric",
     "estimate_infections",

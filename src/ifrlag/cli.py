@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .domain import AntibodyAnchor, Dataset, anchor_from_study
+from .domain import Dataset, anchor_from_study
 from .errors import CalibrationError, ConfigError, DataError, FitError
 from .fit import FitConfig, best_fit
 from .infection import CalibrationResult, calibrate_m, estimate_infections
@@ -38,22 +38,26 @@ EXIT_DATA = 2
 EXIT_CALIBRATION = 3
 EXIT_FIT = 4
 
+COLUMNS = ("date", "cases", "deaths", "tests")
+
+
+def _iso_date(value) -> str:
+    return dt.date.fromisoformat(value).isoformat()
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    label: str
+    """A run configuration.
+
+    settings is the config JSON with every default filled in and each value
+    normalised; the JSON artifacts echo it verbatim. The fit-intervals
+    --width and --max-lag overrides are written into it, so the echo shows
+    what ran. Paths resolve relative to the config file, but the echo keeps
+    the dataset path as written: the dataset's sha256 identifies the data.
+    """
+
+    settings: dict
     csv_path: Path
-    mapping: ColumnMapping
-    policy: RepairPolicy
-    population: int
-    anchor_date: dt.date
-    anchor_fraction: float | None
-    anchor_count: float | None
-    date_start: dt.date
-    date_end: dt.date
-    interval_width: int
-    min_trailing: int
-    max_lag: int
     output_dir: Path
 
     @classmethod
@@ -65,122 +69,89 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         base = path.parent
         try:
-            ds = data["dataset"]
-            cols = ds.get("columns", {})
-            repair = ds.get("repair", {})
-            anchor = data["anchor"]
-            rng = data["date_range"]
+            ds, anchor, rng = data["dataset"], data["anchor"], data["date_range"]
+            columns, repair = ds.get("columns", {}), ds.get("repair", {})
             intervals = data.get("intervals", {})
-            cfg = cls(
-                label=data.get("label", path.stem),
-                csv_path=(base / ds["path"]).resolve(),
-                mapping=ColumnMapping(
-                    date_column=cols.get("date", "date"),
-                    cases_column=cols.get("cases", "cases"),
-                    deaths_column=cols.get("deaths", "deaths"),
-                    tests_column=cols.get("tests", "tests"),
-                ),
-                policy=RepairPolicy(
-                    test_gap_fill=repair.get("test_gap_fill", "interpolate"),
-                    negative_value=repair.get("negative_value", "reject"),
-                    case_exceeds_test=repair.get("case_exceeds_test", "raise_tests"),
-                ),
-                population=int(data["population"]),
-                anchor_date=dt.date.fromisoformat(anchor["date"]),
-                anchor_fraction=(
-                    float(anchor["fraction"]) if "fraction" in anchor else None
-                ),
-                anchor_count=float(anchor["count"]) if "count" in anchor else None,
-                date_start=dt.date.fromisoformat(rng["start"]),
-                date_end=dt.date.fromisoformat(rng["end"]),
-                interval_width=int(intervals.get("width", 50)),
-                min_trailing=int(intervals.get("min_trailing", 10)),
-                max_lag=int(data.get("max_lag", 50)),
-                output_dir=(base / data.get("output_dir", "out")).resolve(),
-            )
+            settings = {
+                "label": data.get("label", path.stem),
+                "dataset": {
+                    "path": ds["path"],
+                    "columns": {k: columns.get(k, k) for k in COLUMNS},
+                    "repair": {k: repair.get(k, v) for k, v
+                               in dataclasses.asdict(RepairPolicy()).items()},
+                },
+                "population": int(data["population"]),
+                "anchor": {
+                    "date": _iso_date(anchor["date"]),
+                    "fraction": (
+                        float(anchor["fraction"]) if "fraction" in anchor else None
+                    ),
+                    "count": float(anchor["count"]) if "count" in anchor else None,
+                },
+                "date_range": {"start": _iso_date(rng["start"]),
+                               "end": _iso_date(rng["end"])},
+                "intervals": {
+                    "width": int(intervals.get("width", 50)),
+                    "min_trailing": int(intervals.get("min_trailing", 10)),
+                },
+                "max_lag": int(data.get("max_lag", 50)),
+            }
+            cfg = cls(settings, (base / ds["path"]).resolve(),
+                      (base / data.get("output_dir", "out")).resolve())
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
         if not cfg.csv_path.exists():
             raise ConfigError(f"dataset file not found: {cfg.csv_path}")
-        if not cfg.date_start <= cfg.anchor_date <= cfg.date_end:
+        anchor, rng = settings["anchor"], settings["date_range"]
+        if not rng["start"] <= anchor["date"] <= rng["end"]:  # ISO dates sort as text
             raise ConfigError(
-                f"anchor date {cfg.anchor_date} outside range "
-                f"[{cfg.date_start}, {cfg.date_end}]"
+                f"anchor date {anchor['date']} outside range "
+                f"[{rng['start']}, {rng['end']}]"
             )
-        if (cfg.anchor_fraction is None) == (cfg.anchor_count is None):
+        if (anchor["fraction"] is None) == (anchor["count"] is None):
             raise ConfigError("anchor needs exactly one of fraction or count")
         return cfg
 
-    def echo(self) -> dict:
-        return {
-            "label": self.label,
-            "dataset": {
-                "path": str(self.csv_path),
-                "columns": {
-                    "date": self.mapping.date_column,
-                    "cases": self.mapping.cases_column,
-                    "deaths": self.mapping.deaths_column,
-                    "tests": self.mapping.tests_column,
-                },
-                "repair": {
-                    "test_gap_fill": self.policy.test_gap_fill,
-                    "negative_value": self.policy.negative_value,
-                    "case_exceeds_test": self.policy.case_exceeds_test,
-                },
-            },
-            "population": self.population,
-            "anchor": {
-                "date": self.anchor_date.isoformat(),
-                "fraction": self.anchor_fraction,
-                "count": self.anchor_count,
-            },
-            "date_range": {
-                "start": self.date_start.isoformat(),
-                "end": self.date_end.isoformat(),
-            },
-            "intervals": {
-                "width": self.interval_width,
-                "min_trailing": self.min_trailing,
-            },
-            "max_lag": self.max_lag,
-        }
+    @property
+    def label(self) -> str:
+        return self.settings["label"]
 
 
-def _load(config: RunConfig):
+def _prepare(config: RunConfig, m: float | None = None):
+    """The front of every config command: load, log repairs, calibrate, estimate.
+
+    Writes the repair log, calibrates m against the antibody anchor unless
+    m is given, and estimates infections at m. Returns the dataset, the
+    calibration (None when m is given), the infections and the provenance
+    record.
+    """
+    s = config.settings
+    columns, anchor, rng = s["dataset"]["columns"], s["anchor"], s["date_range"]
     raw = config.csv_path.read_bytes()
     dataset, repairs = load_dataset(
         raw,
-        config.mapping,
-        config.policy,
-        config.population,
-        (config.date_start, config.date_end),
-        label=config.label,
+        ColumnMapping(*(columns[k] for k in COLUMNS)),
+        RepairPolicy(**s["dataset"]["repair"]),
+        s["population"],
+        (dt.date.fromisoformat(rng["start"]), dt.date.fromisoformat(rng["end"])),
+        label=s["label"],
     )
-    checksum = hashlib.sha256(raw).hexdigest()
-    return dataset, repairs, checksum
-
-
-def _anchor(config: RunConfig, dataset: Dataset) -> AntibodyAnchor:
-    return anchor_from_study(
-        dataset,
-        config.anchor_date,
-        fraction=config.anchor_fraction,
-        count=config.anchor_count,
-    )
-
-
-def _provenance(config: RunConfig, checksum: str) -> dict:
-    return {
-        "tool": "ifrlag",
-        "version": __version__,
-        "dataset_sha256": checksum,
-    }
+    _write_repair_log(config.output_dir / "repairs.jsonl", repairs)
+    calibration = None
+    if m is None:
+        calibration = calibrate_m(dataset, anchor_from_study(
+            dataset, dt.date.fromisoformat(anchor["date"]),
+            fraction=anchor["fraction"], count=anchor["count"]))
+        m = calibration.m
+    provenance = {"tool": "ifrlag", "version": __version__,
+                  "dataset_sha256": hashlib.sha256(raw).hexdigest()}
+    return dataset, calibration, estimate_infections(dataset, m), provenance
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+                    + "\n", encoding="utf-8")
 
 
 def _write_repair_log(path: Path, repairs) -> None:
@@ -189,14 +160,11 @@ def _write_repair_log(path: Path, repairs) -> None:
 
 
 def cmd_calibrate(config: RunConfig) -> CalibrationResult:
-    dataset, repairs, checksum = _load(config)
-    result = calibrate_m(dataset, _anchor(config, dataset))
-    out = config.output_dir
-    _write_repair_log(out / "repairs.jsonl", repairs)
+    _, result, _, provenance = _prepare(config)
     _write_json(
-        out / "calibration.json",
+        config.output_dir / "calibration.json",
         {
-            "config": config.echo(),
+            "config": config.settings,
             "calibration": {
                 "m": result.m,
                 "achieved_sum": result.achieved_sum,
@@ -204,7 +172,7 @@ def cmd_calibrate(config: RunConfig) -> CalibrationResult:
                 "anchor_count": result.anchor.infected_count,
                 "iterations": result.iterations,
             },
-            "provenance": _provenance(config, checksum),
+            "provenance": provenance,
         },
     )
     print(f"{config.label}: m = {result.m:.4f} "
@@ -214,16 +182,13 @@ def cmd_calibrate(config: RunConfig) -> CalibrationResult:
 
 
 def cmd_fit(config: RunConfig) -> None:
-    dataset, repairs, checksum = _load(config)
-    calibration = calibrate_m(dataset, _anchor(config, dataset))
-    infections = estimate_infections(dataset, calibration.m)
-    fit = best_fit(infections, dataset.deaths, FitConfig(max_lag=config.max_lag))
-    out = config.output_dir
-    _write_repair_log(out / "repairs.jsonl", repairs)
+    dataset, calibration, infections, provenance = _prepare(config)
+    fit = best_fit(infections, dataset.deaths,
+                   FitConfig(max_lag=config.settings["max_lag"]))
     _write_json(
-        out / "fit.json",
+        config.output_dir / "fit.json",
         {
-            "config": config.echo(),
+            "config": config.settings,
             "calibration": {"m": calibration.m,
                             "achieved_sum": calibration.achieved_sum},
             "fit": {
@@ -233,7 +198,7 @@ def cmd_fit(config: RunConfig) -> None:
                 "ifr": fit.ifr,
                 "error": fit.error,
             },
-            "provenance": _provenance(config, checksum),
+            "provenance": provenance,
         },
     )
     print(f"{config.label}: lag Uniform({fit.lag_a},{fit.lag_b}) "
@@ -283,25 +248,18 @@ def _write_intervals_csv(path: Path, report: IntervalReport) -> None:
 
 
 def cmd_fit_intervals(config: RunConfig) -> IntervalReport:
-    dataset, repairs, checksum = _load(config)
-    calibration = calibrate_m(dataset, _anchor(config, dataset))
-    infections = estimate_infections(dataset, calibration.m)
+    dataset, calibration, infections, provenance = _prepare(config)
+    s = config.settings
     report = fit_intervals(
         infections,
         dataset.deaths,
-        IntervalConfig(
-            width=config.interval_width,
-            min_trailing=config.min_trailing,
-            max_lag=config.max_lag,
-        ),
+        IntervalConfig(**s["intervals"], max_lag=s["max_lag"]),
     )
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    _write_repair_log(out / "repairs.jsonl", repairs)
     _write_json(
         out / "report.json",
         {
-            "config": config.echo(),
+            "config": s,
             "calibration": {"m": calibration.m,
                             "achieved_sum": calibration.achieved_sum},
             "windows": report.to_rows(),
@@ -313,7 +271,7 @@ def cmd_fit_intervals(config: RunConfig) -> IntervalReport:
                 "candidate_deaths": report.candidate_deaths.tolist(),
             },
             "report_warnings": list(report.warnings),
-            "provenance": _provenance(config, checksum),
+            "provenance": provenance,
         },
     )
     _write_intervals_csv(out / "intervals.csv", report)
@@ -332,12 +290,9 @@ def cmd_fit_intervals(config: RunConfig) -> IntervalReport:
 
 
 def cmd_estimate_infections(config: RunConfig, m: float) -> None:
-    dataset, repairs, checksum = _load(config)
-    infections = estimate_infections(dataset, m)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    _write_repair_log(out / "repairs.jsonl", repairs)
-    with open(out / "infections.csv", "w", encoding="utf-8", newline="") as fh:
+    dataset, _, infections, _ = _prepare(config, m)
+    with open(config.output_dir / "infections.csv", "w", encoding="utf-8",
+              newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["day", "date", "cases", "tests", "infections"])
         for j in range(len(dataset)):
@@ -419,9 +374,9 @@ def main(argv=None) -> int:
         config = RunConfig.from_json(args.config)
         if args.command == "fit-intervals":
             if args.width is not None:
-                config = dataclasses.replace(config, interval_width=args.width)
+                config.settings["intervals"]["width"] = args.width
             if args.max_lag is not None:
-                config = dataclasses.replace(config, max_lag=args.max_lag)
+                config.settings["max_lag"] = args.max_lag
             cmd_fit_intervals(config)
         elif args.command == "calibrate":
             cmd_calibrate(config)

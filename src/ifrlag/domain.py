@@ -24,10 +24,13 @@ from .errors import (
 
 
 def as_values(x) -> np.ndarray:
-    """Coerce a DailySeries, ShiftedSeries or array-like to a float64 vector."""
+    """Coerce a DailySeries or array-like to a finite float64 vector."""
     v = np.asarray(getattr(x, "values", x), dtype=np.float64)
     if v.ndim != 1:
         raise DomainError(f"expected a 1-D series, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        day = int(np.flatnonzero(~np.isfinite(v))[0]) + 1
+        raise DomainError(f"non-finite value {v[day - 1]} at day {day}")
     return v
 
 
@@ -136,7 +139,8 @@ def validate_dataset(raw: Dataset) -> Dataset:
     """Check all Dataset invariants; return the dataset unchanged if they hold.
 
     Raises a structured error naming the first violated invariant and the
-    1-based day index. Idempotent.
+    1-based day index. Idempotent. Finite, non-negative values are already
+    guaranteed by DailySeries.
     """
     c, d, t = raw.cases, raw.deaths, raw.tests
     if not (len(c) == len(d) == len(t)):
@@ -147,10 +151,6 @@ def validate_dataset(raw: Dataset) -> Dataset:
         raise LengthMismatch("series origins differ")
     if raw.population < 1:
         raise DomainError(f"population {raw.population} must be positive")
-    for name, series in (("cases", c), ("deaths", d), ("tests", t)):
-        neg = np.flatnonzero(series.values < 0)
-        if len(neg):
-            raise NegativeValue(f"negative {name} at day {int(neg[0]) + 1}")
     over_pop = np.flatnonzero(t.values > raw.population)
     if len(over_pop):
         raise PopulationExceeded(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .domain import FitResult, as_values
 from .errors import LengthMismatch, ZeroInfectionSeries, ZeroShiftedSeries
-from .lagmodel import LagDistribution, ShiftedSeries, shift_expectation
+from .lagmodel import LagDistribution
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,10 @@ def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
     """
     iv = as_values(i)
     dv = as_values(d)
-    if len(iv) != len(dv):
-        raise LengthMismatch(f"length {len(iv)} vs {len(dv)}")
-    if len(iv) < 1:
+    k = len(iv)
+    if k != len(dv):
+        raise LengthMismatch(f"length {k} vs {len(dv)}")
+    if k < 1:
         raise LengthMismatch("empty series")
     if not np.any(iv > 0):
         raise ZeroInfectionSeries("infection series has no positive entry")
@@ -69,7 +70,8 @@ def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
     best: FitResult | None = None
     for a in range(config.max_lag + 1):
         for b in range(a, config.max_lag + 1):
-            ip = shift_expectation(iv, LagDistribution(a, b)).values
+            # shift_expectation(iv, ...) without re-checking iv for every pair
+            ip = np.convolve(iv, LagDistribution(a, b).pmf_vector())[:k]
             denom = float(ip @ ip)
             if denom == 0.0:
                 continue
@@ -86,10 +88,3 @@ def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
         )
     return best
 
-
-def candidate_deaths(i, fit: FitResult) -> ShiftedSeries:
-    """Scaled truncated shift for a finished fit: the fitted death sequence."""
-    shifted = shift_expectation(as_values(i), LagDistribution(fit.lag_a, fit.lag_b))
-    return ShiftedSeries(
-        fit.ifr * shifted.values, elongated=False, source_length=shifted.source_length
-    )

@@ -81,7 +81,8 @@ class RepairEntry:
     def to_json(self) -> str:
         return json.dumps(
             {"day": self.day, "field": self.field, "action": self.action,
-             "value": self.value}
+             "value": self.value},
+            allow_nan=False,
         )
 
 

@@ -45,7 +45,6 @@ class IntervalConfig:
     width: int = 50
     min_trailing: int = 10
     max_lag: int | None = None
-    allow_zero_ifr: bool = True
 
     def __post_init__(self):
         if self.width < 2:
@@ -96,18 +95,6 @@ class IntervalReport:
         ]
 
 
-def compute_residuals(i_window, fit: FitResult) -> np.ndarray:
-    """Deaths predicted after the window end: the scaled elongated-shift tail.
-
-    Length is exactly fit.lag_b (zero-length when lag_b = 0); entries are
-    non-negative whenever the fitted rate is.
-    """
-    iv = as_values(i_window)
-    lag = LagDistribution(fit.lag_a, fit.lag_b)
-    full = shift_expectation_elongated(iv, lag).values
-    return fit.ifr * full[len(iv) :]
-
-
 def _is_flat(deaths: np.ndarray) -> bool:
     mean = float(deaths.mean())
     var = float(deaths.var())
@@ -142,9 +129,7 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
     if not starts:
         raise FitError(f"series of length {k} leaves no fittable window")
 
-    fit_config = FitConfig(
-        max_lag=config.effective_max_lag, allow_zero_ifr=config.allow_zero_ifr
-    )
+    fit_config = FitConfig(max_lag=config.effective_max_lag)
     candidate = np.zeros(k)
     residual_in = np.zeros(0)
     windows: list[WindowResult] = []
@@ -176,9 +161,10 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
         if fit.ifr < 0:
             warnings.append(WARN_NEGATIVE_IFR)
 
+        # the scaled elongated shift: current deaths, then lag_b residual days
         full = fit.ifr * shift_expectation_elongated(
             i_win, LagDistribution(fit.lag_a, fit.lag_b)
-        ).values
+        )
         residual_out = full[len(i_win) :]
         candidate[s:e] += full[: len(i_win)]
         candidate[s : s + n_sub] += residual_in[:n_sub]

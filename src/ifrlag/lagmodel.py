@@ -23,19 +23,12 @@ from .domain import as_values
 
 @dataclass(frozen=True)
 class LagDistribution:
-    """Integer-day lag law. Only the discrete uniform is constructible.
-
-    The kind field is the seam for alternative laws; anything but "uniform"
-    is rejected today.
-    """
+    """Discrete uniform lag law on the integer days {a, ..., b}."""
 
     a: int
     b: int
-    kind: str = "uniform"
 
     def __post_init__(self):
-        if self.kind != "uniform":
-            raise ValueError(f"unsupported lag kind {self.kind!r}")
         if not (isinstance(self.a, int) and isinstance(self.b, int)):
             raise ValueError("lag bounds must be integers")
         if self.a < 0 or self.b < self.a:
@@ -45,12 +38,6 @@ class LagDistribution:
     def max_lag(self) -> int:
         return self.b
 
-    def pmf(self, lag: int) -> float:
-        """P(L = lag); zero outside {a, ..., b}."""
-        if self.a <= lag <= self.b:
-            return 1.0 / (self.b - self.a + 1)
-        return 0.0
-
     def pmf_vector(self) -> np.ndarray:
         """pmf over lags 0..b as a dense vector (sums to 1)."""
         v = np.zeros(self.b + 1)
@@ -58,38 +45,19 @@ class LagDistribution:
         return v
 
 
-@dataclass(frozen=True)
-class ShiftedSeries:
-    """Expected per-day mass after applying a random lag to a source series."""
-
-    values: np.ndarray
-    elongated: bool
-    source_length: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def shift_expectation(i, lag: LagDistribution) -> ShiftedSeries:
+def shift_expectation(i, lag: LagDistribution) -> np.ndarray:
     """Expected shifted series, truncated to the input length.
 
     out[j] = sum_w i[w] * P(L = j - w); mass landing past the last input
     day is dropped.
     """
     v = as_values(i)
-    full = np.convolve(v, lag.pmf_vector())
-    return ShiftedSeries(full[: len(v)], elongated=False, source_length=len(v))
+    return np.convolve(v, lag.pmf_vector())[: len(v)]
 
 
-def shift_expectation_elongated(i, lag: LagDistribution) -> ShiftedSeries:
-    """Expected shifted series extended by max_lag days; conserves total mass."""
-    v = as_values(i)
-    full = np.convolve(v, lag.pmf_vector())
-    # np.convolve output length is len(v) + b, exactly source_length + max_lag
-    return ShiftedSeries(full, elongated=True, source_length=len(v))
+def shift_expectation_elongated(i, lag: LagDistribution) -> np.ndarray:
+    """Expected shifted series extended by max_lag days; conserves total mass.
+
+    The output has len(i) + lag.max_lag entries.
+    """
+    return np.convolve(as_values(i), lag.pmf_vector())

@@ -84,7 +84,7 @@ class Scenario:
                     "start_day": r.start_day,
                     "end_day": r.end_day,
                     "ifr": r.ifr,
-                    "lag": {"kind": r.lag.kind, "a": r.lag.a, "b": r.lag.b},
+                    "lag": {"kind": "uniform", "a": r.lag.a, "b": r.lag.b},
                 }
                 for r in self.regimes
             ],
@@ -93,6 +93,10 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         origin = dt.date.fromisoformat(data["origin_day"])
+        for r in data["regimes"]:
+            kind = r["lag"].get("kind", "uniform")
+            if kind != "uniform":
+                raise DomainError(f"unsupported lag kind {kind!r}")
         return cls(
             infections=DailySeries(origin, np.asarray(data["infections"], float)),
             regimes=tuple(
@@ -100,10 +104,7 @@ class Scenario:
                     start_day=int(r["start_day"]),
                     end_day=int(r["end_day"]),
                     ifr=float(r["ifr"]),
-                    lag=LagDistribution(
-                        int(r["lag"]["a"]), int(r["lag"]["b"]),
-                        kind=r["lag"].get("kind", "uniform"),
-                    ),
+                    lag=LagDistribution(int(r["lag"]["a"]), int(r["lag"]["b"])),
                 )
                 for r in data["regimes"]
             ),
@@ -190,7 +191,7 @@ def generate_deaths(scenario: Scenario, mode: str = "expected",
     if mode == "expected":
         for r in scenario.regimes:
             s, e = r.start_day - 1, r.end_day
-            full = r.ifr * shift_expectation_elongated(iv[s:e], r.lag).values
+            full = r.ifr * shift_expectation_elongated(iv[s:e], r.lag)
             keep = min(len(full), k - s)
             out[s : s + keep] += full[:keep]
     elif mode == "sampled":

@@ -69,7 +69,7 @@ def test_criterion_1_closed_form_matches_mesh_search():
         d = rng.uniform(0.0, 5.0, k)
         a = int(rng.integers(0, 11))
         b = int(rng.integers(a, 11))
-        shifted = shift_expectation(i, LagDistribution(a, b)).values
+        shifted = shift_expectation(i, LagDistribution(a, b))
         r_mesh, _, r_hi = _mesh_min_error(shifted, d)
         r_closed = closed_form_ifr(shifted, d)
         assert 0.0 <= r_closed <= r_hi  # minimizer inside the mesh range
@@ -124,7 +124,7 @@ def test_criterion_3_shift_matches_unit_sampling():
     k = len(counts)
     for seed, (a, b) in enumerate([(0, 0), (3, 13), (0, 50)]):
         lag = LagDistribution(a, b)
-        expected = shift_expectation(counts.astype(float), lag).values
+        expected = shift_expectation(counts.astype(float), lag)
         rng = np.random.default_rng(33003 + seed)
         pmf = lag.pmf_vector()[a:]
         simulated = np.zeros(k)
@@ -153,7 +153,7 @@ def test_criterion_4_elongated_shift_conserves_mass():
         values = rng.uniform(0.0, 1e6, k)
         a = int(rng.integers(0, 51))
         b = int(rng.integers(a, 51))
-        out = shift_expectation_elongated(values, LagDistribution(a, b)).values
+        out = shift_expectation_elongated(values, LagDistribution(a, b))
         total = values.sum()
         worst = max(worst, abs(out.sum() - total) / max(total, 1.0))
     ok = worst <= 1e-9

@@ -122,6 +122,25 @@ def test_fit_intervals_deterministic_outputs(workspace, tmp_path):
             (outputs[1] / fname).read_bytes()
 
 
+def test_outputs_do_not_depend_on_config_location(workspace, tmp_path):
+    # two copies of one run, CSV and config side by side, in different
+    # directories: the echoed dataset path is the one written in the config
+    root, _, config_path = workspace
+    cfg = json.loads(config_path.read_text())
+    cfg["dataset"]["path"] = "data/dataset.csv"
+    runs = [tmp_path / "a", tmp_path / "b" / "nested"]
+    for run in runs:
+        (run / "data").mkdir(parents=True)
+        (run / "data/dataset.csv").write_bytes((root / "sim/dataset.csv").read_bytes())
+        (run / "config.json").write_text(json.dumps(cfg))
+        for command in ("calibrate", "fit", "fit-intervals"):
+            assert main([command, "--config", str(run / "config.json")]) == 0
+    for name in ("calibration.json", "fit.json", "report.json"):
+        first, second = ((run / "out" / name).read_bytes() for run in runs)
+        assert first == second, name
+        assert json.loads(first)["config"]["dataset"]["path"] == "data/dataset.csv"
+
+
 def test_whole_period_fit(workspace):
     root, _, config_path = workspace
     assert main(["fit", "--config", str(config_path)]) == 0

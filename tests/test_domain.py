@@ -13,8 +13,12 @@ from ifrlag.domain import (
     error_metric,
     validate_dataset,
 )
+from ifrlag.fit import FitConfig, best_fit, closed_form_ifr
+from ifrlag.intervals import IntervalConfig, fit_intervals
+from ifrlag.lagmodel import LagDistribution, shift_expectation, shift_expectation_elongated
 from ifrlag.errors import (
     CasesExceedTests,
+    DataError,
     DomainError,
     LengthMismatch,
     NegativeValue,
@@ -126,3 +130,26 @@ def test_error_metric_permutation_invariant(xs, rand):
     assert error_metric(x[perm], y[perm]) == pytest.approx(
         error_metric(x, y), rel=1e-12
     )
+
+
+# public entry points and how many series each takes
+SERIES_CALLS = {
+    "best_fit": (lambda i, d: best_fit(i, d, FitConfig(max_lag=3)), 2),
+    "fit_intervals": (lambda i, d: fit_intervals(i, d, IntervalConfig(width=5)), 2),
+    "closed_form_ifr": (closed_form_ifr, 2),
+    "error_metric": (error_metric, 2),
+    "shift_expectation": (lambda i: shift_expectation(i, LagDistribution(1, 2)), 1),
+    "shift_expectation_elongated": (
+        lambda i: shift_expectation_elongated(i, LagDistribution(1, 2)), 1),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(SERIES_CALLS))
+def test_non_finite_input_rejected(name, bad):
+    fn, n_series = SERIES_CALLS[name]
+    for position in range(n_series):
+        series = [np.linspace(1.0, 10.0, 10) for _ in range(n_series)]
+        series[position][3] = bad
+        with pytest.raises(DataError, match="non-finite value .* at day 4"):
+            fn(*series)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import bell
 from ifrlag.domain import error_metric
 from ifrlag.errors import LengthMismatch, ZeroInfectionSeries, ZeroShiftedSeries
-from ifrlag.fit import FitConfig, best_fit, candidate_deaths, closed_form_ifr
+from ifrlag.fit import FitConfig, best_fit, closed_form_ifr
 from ifrlag.lagmodel import LagDistribution, shift_expectation
 
 
@@ -47,7 +47,7 @@ def test_best_fit_zero_infections_rejected():
 def test_best_fit_recovers_planted_parameters_exactly():
     i = bell(100)
     lag = LagDistribution(3, 13)
-    d = 0.005 * shift_expectation(i, lag).values
+    d = 0.005 * shift_expectation(i, lag)
     result = best_fit(i, d, FitConfig(max_lag=20))
     assert (result.lag_a, result.lag_b) == (3, 13)
     assert result.ifr == pytest.approx(0.005, rel=1e-12)
@@ -57,10 +57,11 @@ def test_best_fit_recovers_planted_parameters_exactly():
 def test_best_fit_error_matches_metric():
     rng = np.random.default_rng(7)
     i = bell(60)
-    d = 0.01 * shift_expectation(i, LagDistribution(2, 9)).values
+    d = 0.01 * shift_expectation(i, LagDistribution(2, 9))
     d = d + rng.uniform(0, 0.02 * d.max(), 60)
     result = best_fit(i, d, FitConfig(max_lag=12))
-    fitted = candidate_deaths(i, result).values
+    lag = LagDistribution(result.lag_a, result.lag_b)
+    fitted = result.ifr * shift_expectation(i, lag)
     assert result.error == pytest.approx(error_metric(fitted, d), rel=1e-12)
 
 
@@ -74,7 +75,7 @@ def test_best_fit_error_matches_metric():
 def test_exact_recovery_on_any_grid_point(ab, r_true):
     a, b = ab
     i = bell(50)
-    d = r_true * shift_expectation(i, LagDistribution(a, b)).values
+    d = r_true * shift_expectation(i, LagDistribution(a, b))
     result = best_fit(i, d, FitConfig(max_lag=8))
     assert (result.lag_a, result.lag_b) == (a, b)
     assert result.ifr == pytest.approx(r_true, rel=1e-9)
@@ -86,7 +87,7 @@ def test_exact_recovery_on_any_grid_point(ab, r_true):
 def test_scaling_infections_rescales_ifr(alpha):
     rng = np.random.default_rng(31)
     i = bell(40)
-    d = 0.02 * shift_expectation(i, LagDistribution(1, 6)).values
+    d = 0.02 * shift_expectation(i, LagDistribution(1, 6))
     d = d + rng.uniform(0, 0.05 * d.max(), 40)
     base = best_fit(i, d, FitConfig(max_lag=8))
     scaled = best_fit(alpha * i, d, FitConfig(max_lag=8))
@@ -113,7 +114,7 @@ def test_all_pairs_filtered_raises():
 
 def test_disallowing_zero_ifr_skips_nonpositive_fits():
     i = bell(30)
-    d = 0.004 * shift_expectation(i, LagDistribution(2, 5)).values
+    d = 0.004 * shift_expectation(i, LagDistribution(2, 5))
     allowed = best_fit(i, d, FitConfig(max_lag=6, allow_zero_ifr=False))
     assert allowed.ifr > 0
 
@@ -127,7 +128,7 @@ def test_mesh_search_oracle_small():
         d = rng.uniform(0, 5, k)
         a = int(rng.integers(0, 6))
         b = int(rng.integers(a, 6))
-        shifted = shift_expectation(i, LagDistribution(a, b)).values
+        shifted = shift_expectation(i, LagDistribution(a, b))
         step = 1e-5
         r_hi = 2 * d.max() / shifted.max()
         mesh = np.arange(0.0, r_hi + step, step)

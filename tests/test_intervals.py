@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import bell
-from ifrlag.domain import DailySeries, FitResult
+from ifrlag.domain import DailySeries
 from ifrlag.errors import ZeroInfectionWindow
 from ifrlag.fit import FitConfig, best_fit
 from ifrlag.intervals import (
     WARN_FIRST_WINDOW,
     WARN_FLAT_DEATHS,
     WARN_NEGATIVE_ADJUSTED,
+    WARN_RESIDUAL_OVERFLOW,
     WARN_TRAILING_DROPPED,
     IntervalConfig,
-    compute_residuals,
     fit_intervals,
 )
-from ifrlag.lagmodel import LagDistribution, shift_expectation
+from ifrlag.lagmodel import LagDistribution, shift_expectation, shift_expectation_elongated
 from ifrlag.synth import DEFAULT_ORIGIN, Regime, Scenario, generate_deaths
 
 
@@ -54,7 +54,7 @@ def test_constant_regime_recovered_in_both_windows():
         assert w.fit.ifr == pytest.approx(0.004, rel=1e-9)
 
     # window 2's adjusted deaths must equal its regenerated current deaths
-    current_2 = 0.004 * shift_expectation(i[50:], lag).values
+    current_2 = 0.004 * shift_expectation(i[50:], lag)
     np.testing.assert_allclose(report.windows[1].adjusted_deaths, current_2,
                                rtol=1e-9, atol=1e-12)
 
@@ -82,29 +82,71 @@ def test_candidate_deaths_reproduce_noise_free_input():
     np.testing.assert_allclose(report.candidate_deaths, d, rtol=1e-9, atol=1e-12)
 
 
-def test_compute_residuals_zero_when_no_lag_overflow():
-    fit = FitResult(lag_a=0, lag_b=0, ifr=0.01, error=0.0)
-    assert len(compute_residuals(np.ones(10), fit)) == 0
+def test_residual_out_empty_when_no_lag_overflow():
+    i = scenario_infections()
+    report = fit_intervals(i, 0.01 * i, IntervalConfig(width=50))
+    assert [w.fit.lag_b for w in report.windows] == [0, 0]
+    assert all(len(w.residual_out) == 0 for w in report.windows)
 
 
-def test_compute_residuals_single_unit_shift():
+def test_residual_out_single_unit_shift():
+    # day-49 infections die on day 50, so only U(1, 1) fits exactly and the
+    # day-50 infections' deaths are the one residual day past the window
     i = np.zeros(50)
-    i[-1] = 10.0
-    fit = FitResult(lag_a=1, lag_b=1, ifr=0.1, error=0.0)
-    residuals = compute_residuals(i, fit)
-    np.testing.assert_allclose(residuals, [1.0])
+    i[-2:] = 10.0
+    d = np.zeros(50)
+    d[-1] = 1.0
+    (window,) = fit_intervals(i, d, IntervalConfig(width=50)).windows
+    assert (window.fit.lag_a, window.fit.lag_b) == (1, 1)
+    assert window.fit.ifr == pytest.approx(0.1)
+    np.testing.assert_allclose(window.residual_out, [1.0])
 
 
 def test_residual_mass_identity():
     rng = np.random.default_rng(3)
     i = rng.uniform(0, 1000, 50)
-    fit = FitResult(lag_a=2, lag_b=11, ifr=0.007, error=0.0)
-    residuals = compute_residuals(i, fit)
+    d = 0.007 * shift_expectation(i, LagDistribution(2, 11))
+    (window,) = fit_intervals(i, d, IntervalConfig(width=50)).windows
+    fit = window.fit
+    assert (fit.lag_a, fit.lag_b) == (2, 11)
+    residuals = window.residual_out
     assert len(residuals) == fit.lag_b
     truncated = fit.ifr * shift_expectation(
-        i, LagDistribution(fit.lag_a, fit.lag_b)).values
+        i, LagDistribution(fit.lag_a, fit.lag_b))
     expected_mass = fit.ifr * i.sum() - truncated.sum()
     assert residuals.sum() == pytest.approx(expected_mass, rel=1e-9)
+
+
+@pytest.mark.parametrize("k, trailing", [(262, "fitted"), (255, "dropped")])
+def test_candidate_deaths_sum_all_elongated_shifts(k, trailing):
+    # U(10, 30) residuals outrun a 12-day trailing window (k=262), or land
+    # in a 5-day tail too short to fit (k=255); either way the candidate
+    # deaths are every window's full elongated shift, cut at day k
+    i = scenario_infections(k=k, total=4e6)
+    n = (k + 49) // 50
+    sc = make_scenario(i, regimes_for(k, 50, (0.004,) * n, LagDistribution(10, 30)))
+    d = generate_deaths(sc, "expected").values
+    report = fit_intervals(i, d, IntervalConfig(width=50, min_trailing=10))
+
+    if trailing == "fitted":
+        assert len(report.windows) == 6 and report.windows[-1].end_day == k
+        assert WARN_RESIDUAL_OVERFLOW in report.windows[-1].warnings
+        assert len(report.windows[-2].residual_out) > 12
+    else:
+        assert len(report.windows) == 5 and report.windows[-1].end_day == 250
+        assert any(WARN_TRAILING_DROPPED in w for w in report.warnings)
+        tail = report.candidate_deaths[250:]
+        np.testing.assert_array_equal(tail, report.windows[-1].residual_out[:5])
+        assert tail.sum() > 0
+
+    expected = np.zeros(k + 50)
+    for w in report.windows:
+        s, e = w.start_day - 1, w.end_day
+        full = w.fit.ifr * shift_expectation_elongated(
+            i[s:e], LagDistribution(w.fit.lag_a, w.fit.lag_b))
+        expected[s : s + len(full)] += full
+    np.testing.assert_allclose(report.candidate_deaths, expected[:k],
+                               rtol=1e-12, atol=1e-12 * d.max())
 
 
 def test_per_window_mass_accounting():
@@ -116,7 +158,7 @@ def test_per_window_mass_accounting():
     for n, w in enumerate(report.windows):
         i_win = i[w.start_day - 1 : w.end_day]
         fitted_current = w.fit.ifr * shift_expectation(
-            i_win, LagDistribution(w.fit.lag_a, w.fit.lag_b)).values
+            i_win, LagDistribution(w.fit.lag_a, w.fit.lag_b))
         total = w.fit.ifr * i_win.sum()
         assert fitted_current.sum() + w.residual_out.sum() == pytest.approx(
             total, rel=1e-9)
@@ -139,7 +181,7 @@ def test_zero_overflow_windows_match_independent_fits():
 
 def test_first_window_is_flagged():
     i = scenario_infections()
-    d = 0.004 * shift_expectation(i, LagDistribution(3, 7)).values
+    d = 0.004 * shift_expectation(i, LagDistribution(3, 7))
     report = fit_intervals(i, d, IntervalConfig(width=50))
     assert WARN_FIRST_WINDOW in report.windows[0].warnings
     assert WARN_FIRST_WINDOW not in report.windows[1].warnings
@@ -166,7 +208,7 @@ def test_flat_deaths_window_flagged():
 
 def test_short_trailing_window_dropped_with_warning():
     i = scenario_infections(k=105)
-    d = 0.005 * shift_expectation(i, LagDistribution(2, 6)).values
+    d = 0.005 * shift_expectation(i, LagDistribution(2, 6))
     report = fit_intervals(i, d, IntervalConfig(width=50, min_trailing=10))
     assert len(report.windows) == 2
     assert report.windows[-1].end_day == 100
@@ -175,7 +217,7 @@ def test_short_trailing_window_dropped_with_warning():
 
 def test_long_trailing_window_processed():
     i = scenario_infections(k=120)
-    d = 0.005 * shift_expectation(i, LagDistribution(2, 6)).values
+    d = 0.005 * shift_expectation(i, LagDistribution(2, 6))
     report = fit_intervals(i, d, IntervalConfig(width=50, min_trailing=10))
     assert len(report.windows) == 3
     assert report.windows[-1].start_day == 101
@@ -194,7 +236,7 @@ def test_zero_infection_window_is_an_error():
 
 def test_windows_are_contiguous_and_nonoverlapping():
     i = scenario_infections(k=250)
-    d = 0.003 * shift_expectation(i, LagDistribution(1, 5)).values
+    d = 0.003 * shift_expectation(i, LagDistribution(1, 5))
     report = fit_intervals(i, d, IntervalConfig(width=50))
     bounds = [(w.start_day, w.end_day) for w in report.windows]
     assert bounds[0][0] == 1

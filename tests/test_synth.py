@@ -153,6 +153,14 @@ def test_scenario_json_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.test_curve.values, sc.test_curve.values)
 
 
+def test_scenario_lag_kind_must_be_uniform():
+    data = default_scenario(k=100, window=50, ifrs=(0.004, 0.002)).to_dict()
+    assert [r["lag"]["kind"] for r in data["regimes"]] == ["uniform", "uniform"]
+    data["regimes"][1]["lag"]["kind"] = "lognormal"
+    with pytest.raises(DomainError, match="lognormal"):
+        Scenario.from_dict(data)
+
+
 def test_regimes_must_tile_the_period():
     i = DailySeries(DEFAULT_ORIGIN, np.ones(10))
     t = DailySeries(DEFAULT_ORIGIN, np.full(10, 100.0))
