@@ -24,10 +24,12 @@ from .errors import (
 
 
 def as_values(x) -> np.ndarray:
-    """Coerce a DailySeries or array-like to a finite float64 vector."""
+    """Coerce a DailySeries or array-like to a non-empty finite float64 vector."""
     v = np.asarray(getattr(x, "values", x), dtype=np.float64)
     if v.ndim != 1:
         raise DomainError(f"expected a 1-D series, got shape {v.shape}")
+    if len(v) < 1:
+        raise LengthMismatch("empty series")
     if not np.isfinite(v).all():
         day = int(np.flatnonzero(~np.isfinite(v))[0]) + 1
         raise DomainError(f"non-finite value {v[day - 1]} at day {day}")

@@ -18,14 +18,9 @@ from .lagmodel import LagDistribution
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Grid bounds for the lag search.
-
-    allow_zero_ifr=False skips grid pairs whose closed-form scaling is
-    not strictly positive.
-    """
+    """Grid bound for the lag search."""
 
     max_lag: int = 50
-    allow_zero_ifr: bool = True
 
     def __post_init__(self):
         if self.max_lag < 0:
@@ -62,8 +57,6 @@ def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
     k = len(iv)
     if k != len(dv):
         raise LengthMismatch(f"length {k} vs {len(dv)}")
-    if k < 1:
-        raise LengthMismatch("empty series")
     if not np.any(iv > 0):
         raise ZeroInfectionSeries("infection series has no positive entry")
 
@@ -76,8 +69,6 @@ def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
             if denom == 0.0:
                 continue
             r = float(ip @ dv) / denom
-            if not config.allow_zero_ifr and r <= 0.0:
-                continue
             resid = r * ip - dv
             m = float(resid @ resid)
             if best is None or m < best.error:

@@ -47,8 +47,8 @@ class CalibrationResult:
 
 def _infections_values(cases: np.ndarray, tests: np.ndarray, population: int,
                        m: float) -> np.ndarray:
-    if m <= 1.0:
-        raise DomainError(f"exponent m must be > 1, got {m}")
+    if not (np.isfinite(m) and m > 1.0):
+        raise DomainError(f"exponent m must be finite and > 1, got {m}")
     positive = cases > 0
     if np.any(tests[positive] <= 0):
         day = int(np.flatnonzero(positive & (tests <= 0))[0]) + 1
@@ -84,13 +84,8 @@ def anchor_sum(dataset: Dataset, m: float, day_index: int) -> float:
     return float(values.sum())
 
 
-def calibrate_m(
-    dataset: Dataset,
-    anchor: AntibodyAnchor,
-    m_lo: float = M_LO_DEFAULT,
-    m_hi: float = M_HI_DEFAULT,
-) -> CalibrationResult:
-    """Bisect for the m whose anchor sum matches the serology count.
+def calibrate_m(dataset: Dataset, anchor: AntibodyAnchor) -> CalibrationResult:
+    """Bisect m over [M_LO_DEFAULT, M_HI_DEFAULT] to match the serology count.
 
     Converges when the achieved sum is within 1e-6 relative of the anchor
     and the m bracket has collapsed below 1e-9 (the sum tolerance alone can
@@ -107,6 +102,7 @@ def calibrate_m(
             f"{ell}; estimated infections can never be fewer than cases"
         )
 
+    m_lo, m_hi = M_LO_DEFAULT, M_HI_DEFAULT
     sum_lo = anchor_sum(dataset, m_lo, ell)
     sum_hi = anchor_sum(dataset, m_hi, ell)
     if abs(sum_lo - sum_hi) <= 1e-12 * max(sum_lo, 1.0):

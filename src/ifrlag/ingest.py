@@ -252,26 +252,18 @@ def load_dataset(
     return validate_dataset(dataset), log
 
 
-def write_dataset_csv(dataset: Dataset, path, mapping: ColumnMapping | None = None,
-                      round_counts: bool = True) -> None:
-    """Write a dataset in the same CSV shape load_dataset reads.
+def write_dataset_csv(dataset: Dataset, path) -> None:
+    """Write a dataset as date,cases,deaths,tests CSV, which load_dataset reads.
 
     Reported series must be whole counts on ingest, so fractional synthetic
-    values are rounded by default.
+    values are rounded.
     """
-    if mapping is None:
-        mapping = ColumnMapping("date", "cases", "deaths", "tests")
     rows = zip(dataset.cases.values, dataset.deaths.values, dataset.tests.values)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([mapping.date_column, mapping.cases_column,
-                         mapping.deaths_column, mapping.tests_column])
+        writer.writerow(["date", "cases", "deaths", "tests"])
         for j, (c, d, t) in enumerate(rows):
             day = dataset.cases.origin_day + dt.timedelta(days=j)
-            if round_counts:
-                c, d, t = round(c), round(d), round(t)
-                t = max(t, c)  # rounding must not break cases <= tests
-                cells = [str(c), str(d), str(t)]
-            else:
-                cells = [repr(float(v)) for v in (c, d, t)]
-            writer.writerow([day.isoformat(), *cells])
+            c, d, t = round(c), round(d), round(t)
+            t = max(t, c)  # rounding must not break cases <= tests
+            writer.writerow([day.isoformat(), str(c), str(d), str(t)])

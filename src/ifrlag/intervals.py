@@ -152,7 +152,9 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
 
         if not np.any(i_win > 0):
             raise ZeroInfectionWindow(
-                f"window {n} (days {s + 1}..{e}) has no positive infections"
+                f"window {n} (days {s + 1}..{e}) has no positive infections; "
+                "start date_range at or after the first reported case, "
+                "or use a smaller width"
             )
         try:
             fit = best_fit(i_win, adjusted, fit_config)
@@ -161,13 +163,14 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
         if fit.ifr < 0:
             warnings.append(WARN_NEGATIVE_IFR)
 
-        # the scaled elongated shift: current deaths, then lag_b residual days
+        # the scaled elongated shift: current deaths, then lag_b residual days,
+        # placed from the window start and cut at the last day
         full = fit.ifr * shift_expectation_elongated(
             i_win, LagDistribution(fit.lag_a, fit.lag_b)
         )
         residual_out = full[len(i_win) :]
-        candidate[s:e] += full[: len(i_win)]
-        candidate[s : s + n_sub] += residual_in[:n_sub]
+        keep = min(len(full), k - s)
+        candidate[s : s + keep] += full[:keep]
 
         windows.append(
             WindowResult(
@@ -180,12 +183,6 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
             )
         )
         residual_in = residual_out
-
-    # A dropped tail still receives the last window's predicted residuals.
-    last_end = windows[-1].end_day
-    if last_end < k:
-        n_tail = min(len(residual_in), k - last_end)
-        candidate[last_end : last_end + n_tail] += residual_in[:n_tail]
 
     return IntervalReport(
         windows=tuple(windows),

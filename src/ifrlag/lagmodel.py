@@ -34,10 +34,6 @@ class LagDistribution:
         if self.a < 0 or self.b < self.a:
             raise ValueError(f"need 0 <= a <= b, got a={self.a} b={self.b}")
 
-    @property
-    def max_lag(self) -> int:
-        return self.b
-
     def pmf_vector(self) -> np.ndarray:
         """pmf over lags 0..b as a dense vector (sums to 1)."""
         v = np.zeros(self.b + 1)
@@ -56,8 +52,8 @@ def shift_expectation(i, lag: LagDistribution) -> np.ndarray:
 
 
 def shift_expectation_elongated(i, lag: LagDistribution) -> np.ndarray:
-    """Expected shifted series extended by max_lag days; conserves total mass.
+    """Expected shifted series extended by lag.b days; conserves total mass.
 
-    The output has len(i) + lag.max_lag entries.
+    The output has len(i) + lag.b entries.
     """
     return np.convolve(as_values(i), lag.pmf_vector())

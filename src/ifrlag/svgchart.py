@@ -14,6 +14,8 @@ MARGIN_LEFT = 72
 MARGIN_RIGHT = 24
 MARGIN_TOP = 42
 MARGIN_BOTTOM = 46
+WIDTH = 920
+HEIGHT = 430
 
 PALETTE = ("#4455cc", "#8833aa", "#e08020", "#202020", "#2a9060")
 
@@ -50,10 +52,7 @@ def line_chart(
     title: str,
     series: list[tuple[str, np.ndarray]],
     y_label: str = "",
-    x_label: str = "day",
     day_markers: tuple[int, ...] = (),
-    width: int = 920,
-    height: int = 430,
 ) -> str:
     """Render labelled day-indexed series (day 1..k) as an SVG document."""
     k = max(len(values) for _, values in series)
@@ -68,8 +67,8 @@ def line_chart(
         y_max = y_min + 1.0
     y_max *= 1.05
 
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(day: float) -> float:
         return MARGIN_LEFT + (day - 1) / max(k - 1, 1) * plot_w
@@ -78,17 +77,17 @@ def line_chart(
         return MARGIN_TOP + (y_max - value) / (y_max - y_min) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
     ]
 
     for tick in _ticks(y_min, y_max):
         y = py(tick)
         parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{width - MARGIN_RIGHT}" '
+            f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{WIDTH - MARGIN_RIGHT}" '
             f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
@@ -122,13 +121,12 @@ def line_chart(
         f'y2="{MARGIN_TOP + plot_h}" stroke="#202020" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{py(0.0):.2f}" x2="{width - MARGIN_RIGHT}" '
+        f'<line x1="{MARGIN_LEFT}" y1="{py(0.0):.2f}" x2="{WIDTH - MARGIN_RIGHT}" '
         f'y2="{py(0.0):.2f}" stroke="#202020" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 8}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{escape(x_label)}</text>"
+        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 8}" '
+        'text-anchor="middle" font-family="sans-serif" font-size="12">day</text>'
     )
     if y_label:
         cy = MARGIN_TOP + plot_h / 2
@@ -148,7 +146,7 @@ def line_chart(
             f'points="{points}"/>'
         )
         ly = MARGIN_TOP + 14 + 16 * idx
-        lx = width - MARGIN_RIGHT - 150
+        lx = WIDTH - MARGIN_RIGHT - 150
         parts.append(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'

@@ -137,10 +137,9 @@ def two_peak_curve(k: int, total: float, peaks=(0.18, 0.66),
     return total * curve / curve.sum()
 
 
-def ramp_test_curve(k: int, population: int, start_frac: float = 0.0004,
-                    end_frac: float = 0.012) -> np.ndarray:
-    """Daily tests ramping up over the period, like real test capacity did."""
-    frac = np.geomspace(start_frac, end_frac, k)
+def ramp_test_curve(k: int, population: int) -> np.ndarray:
+    """Daily tests ramping from 0.04% to 1.2% of the population per day."""
+    frac = np.geomspace(0.0004, 0.012, k)
     return np.clip(frac * population, 1.0, float(population))
 
 
@@ -152,9 +151,8 @@ def default_scenario(
     population: int = 50_000_000,
     total_infections: float = 5e6,
     m_true: float = 3.3,
-    origin: dt.date = DEFAULT_ORIGIN,
 ) -> Scenario:
-    """Two-peak scenario with one fatality regime per window."""
+    """Two-peak scenario with one fatality regime per window, from DEFAULT_ORIGIN."""
     n_regimes = (k + window - 1) // window
     if len(ifrs) != n_regimes:
         raise DomainError(f"need {n_regimes} regime rates for k={k}, w={window}")
@@ -168,10 +166,10 @@ def default_scenario(
         for n in range(n_regimes)
     )
     return Scenario(
-        infections=DailySeries(origin, two_peak_curve(k, total_infections)),
+        infections=DailySeries(DEFAULT_ORIGIN, two_peak_curve(k, total_infections)),
         regimes=regimes,
         population=population,
-        test_curve=DailySeries(origin, ramp_test_curve(k, population)),
+        test_curve=DailySeries(DEFAULT_ORIGIN, ramp_test_curve(k, population)),
         m_true=m_true,
     )
 

@@ -200,6 +200,27 @@ def test_zero_death_series_still_succeeds(workspace, tmp_path):
     assert any(w["warnings"] for w in report["windows"])
 
 
+def test_range_starting_before_first_case_exits_4(workspace, tmp_path, capsys):
+    # 60 zero-case days ahead of the data: the whole first 50-day window
+    # has no infections, so the run aborts and names the fix
+    root, _, config_path = workspace
+    rows = (root / "sim/dataset.csv").read_text().splitlines()
+    first = dt.date.fromisoformat(rows[1].split(",")[0])
+    lead = [f"{first - dt.timedelta(days=n)},0,0,1000" for n in range(60, 0, -1)]
+    (tmp_path / "lead.csv").write_text("\n".join([rows[0], *lead, *rows[1:]]) + "\n")
+
+    cfg = json.loads(config_path.read_text())
+    cfg["dataset"]["path"] = str(tmp_path / "lead.csv")
+    cfg["date_range"]["start"] = (first - dt.timedelta(days=60)).isoformat()
+    cfg["output_dir"] = str(tmp_path / "out")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["fit-intervals", "--config", str(cfg_path)]) == 4
+    err = capsys.readouterr().err
+    assert "window 1 (days 1..50) has no positive infections" in err
+    assert "start date_range at or after the first reported case" in err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["calibrate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err

@@ -144,6 +144,13 @@ SERIES_CALLS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(SERIES_CALLS))
+def test_empty_input_rejected(name):
+    fn, n_series = SERIES_CALLS[name]
+    with pytest.raises(LengthMismatch, match="empty series"):
+        fn(*[np.zeros(0) for _ in range(n_series)])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", sorted(SERIES_CALLS))
 def test_non_finite_input_rejected(name, bad):

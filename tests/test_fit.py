@@ -106,17 +106,11 @@ def test_pairs_with_empty_window_shift_are_skipped():
 
 
 def test_all_pairs_filtered_raises():
-    i = np.array([1.0, 2.0, 1.0])
-    d = np.array([-1.0, -1.0, -1.0])  # closed-form r < 0 for every pair
+    # a positive series whose shifts all have a squared norm underflowing to 0
+    i = np.array([1e-170, 0.0, 0.0])
+    d = np.array([1.0, 1.0, 1.0])
     with pytest.raises(ZeroShiftedSeries):
-        best_fit(i, d, FitConfig(max_lag=3, allow_zero_ifr=False))
-
-
-def test_disallowing_zero_ifr_skips_nonpositive_fits():
-    i = bell(30)
-    d = 0.004 * shift_expectation(i, LagDistribution(2, 5))
-    allowed = best_fit(i, d, FitConfig(max_lag=6, allow_zero_ifr=False))
-    assert allowed.ifr > 0
+        best_fit(i, d, FitConfig(max_lag=3))
 
 
 def test_mesh_search_oracle_small():

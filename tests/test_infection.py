@@ -39,10 +39,11 @@ def test_hand_computed_inflation():
 
 def test_m_at_most_one_rejected():
     ds = single_day_dataset()
-    with pytest.raises(DomainError):
-        estimate_infections(ds, 1.0)
-    with pytest.raises(DomainError):
-        anchor_sum(ds, 0.5, 1)
+    for m in (1.0, 0.5, np.nan, np.inf):
+        with pytest.raises(DomainError, match="must be finite and > 1"):
+            estimate_infections(ds, m)
+        with pytest.raises(DomainError, match="must be finite and > 1"):
+            anchor_sum(ds, m, 1)
 
 
 def test_positive_cases_with_zero_tests_rejected():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import bell
 from ifrlag.domain import DailySeries
@@ -162,6 +164,37 @@ def test_per_window_mass_accounting():
         total = w.fit.ifr * i_win.sum()
         assert fitted_current.sum() + w.residual_out.sum() == pytest.approx(
             total, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 130), width=st.integers(2, 30),
+       min_trailing=st.integers(1, 15), lag=st.tuples(st.integers(0, 29),
+                                                     st.integers(0, 29)),
+       seed=st.integers(0, 2**32 - 1))
+@example(k=112, width=25, min_trailing=10, lag=(8, 24), seed=1)  # trailing fitted
+@example(k=105, width=25, min_trailing=10, lag=(8, 24), seed=2)  # trailing dropped
+def test_mass_balance(k, width, min_trailing, lag, seed):
+    # every window's death mass ifr * sum(i_win) ends up in the candidate
+    # deaths or past the last day, whatever the windowing does with the tail
+    a, b = min(lag), max(lag)
+    assume(b < width and (k >= width or k >= min_trailing))
+    rng = np.random.default_rng(seed)
+    i = rng.uniform(1.0, 1000.0, k)
+    d = 0.005 * shift_expectation(i, LagDistribution(a, b)) * rng.uniform(0.5, 1.5, k)
+    report = fit_intervals(i, d, IntervalConfig(width=width, min_trailing=min_trailing))
+
+    ifr_total, past_k = 0.0, 0.0
+    for w in report.windows:
+        i_win = i[w.start_day - 1 : w.end_day]
+        ifr_mass = w.fit.ifr * i_win.sum()
+        current = w.fit.ifr * shift_expectation(
+            i_win, LagDistribution(w.fit.lag_a, w.fit.lag_b))
+        assert current.sum() + w.residual_out.sum() == pytest.approx(
+            ifr_mass, rel=1e-9, abs=1e-12)
+        ifr_total += ifr_mass
+        past_k += w.residual_out[max(0, k - w.end_day) :].sum()
+    assert report.candidate_deaths.sum() + past_k == pytest.approx(
+        ifr_total, rel=1e-9, abs=1e-12)
 
 
 def test_zero_overflow_windows_match_independent_fits():

@@ -87,7 +87,7 @@ def test_point_mass_is_translation(i, lag):
 @given(series_strategy, lag_strategy)
 def test_elongated_conserves_mass(i, lag):
     out = shift_expectation_elongated(i, lag)
-    assert len(out) == len(i) + lag.max_lag
+    assert len(out) == len(i) + lag.b
     total = i.sum()
     assert abs(out.sum() - total) <= 1e-9 * max(total, 1.0)
 
