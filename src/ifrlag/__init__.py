@@ -16,7 +16,6 @@ from .domain import (
     FitResult,
     anchor_from_study,
     error_metric,
-    validate_dataset,
 )
 from .fit import FitConfig, best_fit, closed_form_ifr
 from .infection import CalibrationResult, anchor_sum, calibrate_m, estimate_infections
@@ -53,6 +52,5 @@ __all__ = [
     "load_dataset",
     "shift_expectation",
     "shift_expectation_elongated",
-    "validate_dataset",
     "write_dataset_csv",
 ]

@@ -90,15 +90,13 @@ class RunConfig:
                 },
                 "date_range": {"start": _iso_date(rng["start"]),
                                "end": _iso_date(rng["end"])},
-                "intervals": {
-                    "width": int(intervals.get("width", 50)),
-                    "min_trailing": int(intervals.get("min_trailing", 10)),
-                },
-                "max_lag": int(data.get("max_lag", 50)),
+                "intervals": {k: int(intervals.get(k, getattr(IntervalConfig(), k)))
+                              for k in ("width", "min_trailing")},
+                "max_lag": int(data.get("max_lag", FitConfig().max_lag)),
             }
             cfg = cls(settings, (base / ds["path"]).resolve(),
                       (base / data.get("output_dir", "out")).resolve())
-        except (KeyError, ValueError, TypeError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
         if not cfg.csv_path.exists():
             raise ConfigError(f"dataset file not found: {cfg.csv_path}")
@@ -310,7 +308,8 @@ def cmd_estimate_infections(config: RunConfig, m: float) -> None:
 def cmd_simulate(scenario_path, output_dir, seed: int, mode: str) -> None:
     try:
         scenario = Scenario.from_json(scenario_path)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise ConfigError(f"cannot read scenario {scenario_path}: {exc}") from exc
     dataset = generate_observables(scenario, mode=mode, seed=seed)
     out = Path(output_dir)
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
         elif args.command == "estimate-infections":
             cmd_estimate_infections(config, args.m)
         return EXIT_OK
-    except (DataError, ValueError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except CalibrationError as exc:

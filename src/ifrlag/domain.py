@@ -25,7 +25,10 @@ from .errors import (
 
 def as_values(x) -> np.ndarray:
     """Coerce a DailySeries or array-like to a non-empty finite float64 vector."""
-    v = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    try:
+        v = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"not a numeric series: {exc}") from None
     if v.ndim != 1:
         raise DomainError(f"expected a 1-D series, got shape {v.shape}")
     if len(v) < 1:
@@ -36,6 +39,14 @@ def as_values(x) -> np.ndarray:
     return v
 
 
+def as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """as_values of two series that must have the same length."""
+    xv, yv = as_values(x), as_values(y)
+    if len(xv) != len(yv):
+        raise LengthMismatch(f"length {len(xv)} vs {len(yv)}")
+    return xv, yv
+
+
 @dataclass(frozen=True)
 class DailySeries:
     """One value per calendar day, starting at origin_day. Immutable."""
@@ -44,12 +55,7 @@ class DailySeries:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or len(v) < 1:
-            raise LengthMismatch("a daily series needs at least one day")
-        if not np.all(np.isfinite(v)):
-            day = int(np.flatnonzero(~np.isfinite(v))[0]) + 1
-            raise NegativeValue(f"non-finite value at day {day}")
+        v = as_values(self.values)
         if np.any(v < 0):
             day = int(np.flatnonzero(v < 0)[0]) + 1
             raise NegativeValue(f"negative value {v[day - 1]} at day {day}")
@@ -77,13 +83,41 @@ class DailySeries:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Aligned daily cases, deaths and tests for one region."""
+    """Aligned daily cases, deaths and tests for one region.
+
+    Construction checks every invariant and raises a structured error naming
+    the first violated one and its 1-based day index. Finite, non-negative
+    values are already guaranteed by DailySeries.
+    """
 
     cases: DailySeries
     deaths: DailySeries
     tests: DailySeries
     population: int
     label: str = ""
+
+    def __post_init__(self):
+        c, d, t = self.cases, self.deaths, self.tests
+        if not (len(c) == len(d) == len(t)):
+            raise LengthMismatch(
+                f"series lengths differ: cases={len(c)} deaths={len(d)} tests={len(t)}"
+            )
+        if not (c.origin_day == d.origin_day == t.origin_day):
+            raise LengthMismatch("series origins differ")
+        if self.population < 1:
+            raise DomainError(f"population {self.population} must be positive")
+        over_pop = np.flatnonzero(t.values > self.population)
+        if len(over_pop):
+            raise PopulationExceeded(
+                f"tests exceed population at day {int(over_pop[0]) + 1}"
+            )
+        over = np.flatnonzero(c.values > t.values)
+        if len(over):
+            day = int(over[0]) + 1
+            raise CasesExceedTests(
+                f"cases ({c.values[day - 1]:g}) exceed tests ({t.values[day - 1]:g}) "
+                f"at day {day}"
+            )
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -137,41 +171,8 @@ class FitResult:
         return (self.lag_a + self.lag_b) / 2.0
 
 
-def validate_dataset(raw: Dataset) -> Dataset:
-    """Check all Dataset invariants; return the dataset unchanged if they hold.
-
-    Raises a structured error naming the first violated invariant and the
-    1-based day index. Idempotent. Finite, non-negative values are already
-    guaranteed by DailySeries.
-    """
-    c, d, t = raw.cases, raw.deaths, raw.tests
-    if not (len(c) == len(d) == len(t)):
-        raise LengthMismatch(
-            f"series lengths differ: cases={len(c)} deaths={len(d)} tests={len(t)}"
-        )
-    if not (c.origin_day == d.origin_day == t.origin_day):
-        raise LengthMismatch("series origins differ")
-    if raw.population < 1:
-        raise DomainError(f"population {raw.population} must be positive")
-    over_pop = np.flatnonzero(t.values > raw.population)
-    if len(over_pop):
-        raise PopulationExceeded(
-            f"tests exceed population at day {int(over_pop[0]) + 1}"
-        )
-    over = np.flatnonzero(c.values > t.values)
-    if len(over):
-        day = int(over[0]) + 1
-        raise CasesExceedTests(
-            f"cases ({c.values[day - 1]:g}) exceed tests ({t.values[day - 1]:g}) "
-            f"at day {day}"
-        )
-    return raw
-
-
 def error_metric(x, y) -> float:
     """Sum of squared elementwise differences between two same-length series."""
-    xv, yv = as_values(x), as_values(y)
-    if len(xv) != len(yv):
-        raise LengthMismatch(f"length {len(xv)} vs {len(yv)}")
+    xv, yv = as_pair(x, y)
     diff = xv - yv
     return float(diff @ diff)

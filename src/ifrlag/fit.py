@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FitResult, as_values
-from .errors import LengthMismatch, ZeroInfectionSeries, ZeroShiftedSeries
+from .domain import FitResult, as_pair
+from .errors import DomainError, ZeroInfectionSeries, ZeroShiftedSeries
 from .lagmodel import LagDistribution
 
 
@@ -24,7 +24,7 @@ class FitConfig:
 
     def __post_init__(self):
         if self.max_lag < 0:
-            raise ValueError(f"max_lag must be >= 0, got {self.max_lag}")
+            raise DomainError(f"max_lag must be >= 0, got {self.max_lag}")
 
 
 def closed_form_ifr(shifted, d) -> float:
@@ -33,10 +33,7 @@ def closed_form_ifr(shifted, d) -> float:
     Unconstrained: the result may be negative or exceed 1 if the data
     demand it; callers interpret.
     """
-    ip = as_values(shifted)
-    dv = as_values(d)
-    if len(ip) != len(dv):
-        raise LengthMismatch(f"length {len(ip)} vs {len(dv)}")
+    ip, dv = as_pair(shifted, d)
     denom = float(ip @ ip)
     if denom == 0.0:
         raise ZeroShiftedSeries("shifted series is identically zero")
@@ -52,11 +49,8 @@ def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
     (a, b) order wins. Pairs whose shift is identically zero inside the
     window (all mass pushed past the end) are skipped.
     """
-    iv = as_values(i)
-    dv = as_values(d)
+    iv, dv = as_pair(i, d)
     k = len(iv)
-    if k != len(dv):
-        raise LengthMismatch(f"length {k} vs {len(dv)}")
     if not np.any(iv > 0):
         raise ZeroInfectionSeries("infection series has no positive entry")
 

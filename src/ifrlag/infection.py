@@ -49,10 +49,7 @@ def _infections_values(cases: np.ndarray, tests: np.ndarray, population: int,
                        m: float) -> np.ndarray:
     if not (np.isfinite(m) and m > 1.0):
         raise DomainError(f"exponent m must be finite and > 1, got {m}")
-    positive = cases > 0
-    if np.any(tests[positive] <= 0):
-        day = int(np.flatnonzero(positive & (tests <= 0))[0]) + 1
-        raise DomainError(f"positive cases with zero tests at day {day}")
+    positive = cases > 0  # Dataset guarantees cases <= tests, so tests > 0 here
     out = np.zeros_like(cases)
     coverage = tests[positive] / float(population)
     out[positive] = cases[positive] / coverage ** (1.0 / m)

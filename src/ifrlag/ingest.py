@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DailySeries, Dataset, validate_dataset
+from .domain import DailySeries, Dataset
 from .errors import (
     ConfigError,
     GapUnrepairable,
@@ -120,12 +120,18 @@ def _read_rows(csv_source, mapping: ColumnMapping) -> dict[dt.date, tuple]:
         data = csv_source.read()
         if isinstance(data, str):
             data = data.encode()
-    reader = csv.reader(io.StringIO(data.decode("utf-8-sig")))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise UnparseableRow("empty CSV: no header row") from None
-    header = [h.strip() for h in header]
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise UnparseableRow(f"CSV is not UTF-8: {exc}") from None
+    reader = csv.reader(io.StringIO(text))
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        raise UnparseableRow(f"line {reader.line_num}: {exc}") from None
+    if not records:
+        raise UnparseableRow("empty CSV: no header row")
+    header = [h.strip() for h in records[0]]
     columns = {}
     for name in (mapping.date_column, mapping.cases_column,
                  mapping.deaths_column, mapping.tests_column):
@@ -135,7 +141,7 @@ def _read_rows(csv_source, mapping: ColumnMapping) -> dict[dt.date, tuple]:
     needed = max(columns.values())
 
     rows: dict[dt.date, tuple] = {}
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(records[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) <= needed:
@@ -249,7 +255,7 @@ def load_dataset(
         population=int(population),
         label=label,
     )
-    return validate_dataset(dataset), log
+    return dataset, log
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FitResult, as_values
-from .errors import FitError, ZeroInfectionWindow
+from .domain import FitResult, as_pair
+from .errors import DomainError, FitError, ZeroInfectionWindow
 from .fit import FitConfig, best_fit
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
@@ -48,9 +48,9 @@ class IntervalConfig:
 
     def __post_init__(self):
         if self.width < 2:
-            raise ValueError(f"window width must be >= 2, got {self.width}")
+            raise DomainError(f"window width must be >= 2, got {self.width}")
         if self.min_trailing < 1:
-            raise ValueError("min_trailing must be >= 1")
+            raise DomainError("min_trailing must be >= 1")
 
     @property
     def effective_max_lag(self) -> int:
@@ -111,10 +111,7 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
     flagged, as are negative fitted rates and near-flat death windows where
     the lag is poorly identified.
     """
-    iv = as_values(i)
-    dv = as_values(d)
-    if len(iv) != len(dv):
-        raise FitError(f"infections length {len(iv)} != deaths length {len(dv)}")
+    iv, dv = as_pair(i, d)
     k, w = len(iv), config.width
 
     starts = list(range(0, k, w))

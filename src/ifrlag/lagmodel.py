@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import as_values
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -30,9 +31,9 @@ class LagDistribution:
 
     def __post_init__(self):
         if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise ValueError("lag bounds must be integers")
+            raise DomainError("lag bounds must be integers")
         if self.a < 0 or self.b < self.a:
-            raise ValueError(f"need 0 <= a <= b, got a={self.a} b={self.b}")
+            raise DomainError(f"need 0 <= a <= b, got a={self.a} b={self.b}")
 
     def pmf_vector(self) -> np.ndarray:
         """pmf over lags 0..b as a dense vector (sums to 1)."""

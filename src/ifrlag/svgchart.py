@@ -6,7 +6,6 @@ line plots.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -18,6 +17,11 @@ WIDTH = 920
 HEIGHT = 430
 
 PALETTE = ("#4455cc", "#8833aa", "#e08020", "#202020", "#2a9060")
+
+
+def _escape(text: str) -> str:
+    """XML-escape &, < and >; & goes first so the other entities survive."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_step(span: float, target_ticks: int) -> float:
@@ -81,7 +85,7 @@ def line_chart(
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
     ]
 
     for tick in _ticks(y_min, y_max):
@@ -133,7 +137,7 @@ def line_chart(
         parts.append(
             f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {cy:.1f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 16 {cy:.1f})">{_escape(y_label)}</text>'
         )
 
     for idx, (label, values) in enumerate(series):
@@ -153,7 +157,7 @@ def line_chart(
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{escape(label)}</text>'
+            f'font-size="11">{_escape(label)}</text>'
         )
 
     parts.append("</svg>")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DailySeries, Dataset, validate_dataset
+from .domain import DailySeries, Dataset
 from .errors import DomainError
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
@@ -98,7 +98,7 @@ class Scenario:
             if kind != "uniform":
                 raise DomainError(f"unsupported lag kind {kind!r}")
         return cls(
-            infections=DailySeries(origin, np.asarray(data["infections"], float)),
+            infections=DailySeries(origin, data["infections"]),
             regimes=tuple(
                 Regime(
                     start_day=int(r["start_day"]),
@@ -109,7 +109,7 @@ class Scenario:
                 for r in data["regimes"]
             ),
             population=int(data["population"]),
-            test_curve=DailySeries(origin, np.asarray(data["test_curve"], float)),
+            test_curve=DailySeries(origin, data["test_curve"]),
             m_true=float(data["m_true"]),
             label=data.get("label", "synthetic"),
         )
@@ -193,6 +193,8 @@ def generate_deaths(scenario: Scenario, mode: str = "expected",
             keep = min(len(full), k - s)
             out[s : s + keep] += full[:keep]
     elif mode == "sampled":
+        if seed < 0:
+            raise DomainError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         counts = np.rint(iv).astype(np.int64)
         for r in scenario.regimes:
@@ -224,11 +226,10 @@ def generate_observables(scenario: Scenario, mode: str = "expected",
     coverage = scenario.test_curve.values / float(scenario.population)
     cases = iv * coverage ** (1.0 / scenario.m_true)
     origin = scenario.infections.origin_day
-    ds = Dataset(
+    return Dataset(
         cases=DailySeries(origin, cases),
         deaths=generate_deaths(scenario, mode=mode, seed=seed),
         tests=scenario.test_curve,
         population=scenario.population,
         label=scenario.label,
     )
-    return validate_dataset(ds)

@@ -239,6 +239,89 @@ def test_invalid_width_exits_2(workspace, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _dataset_with(cfg, **changes):
+    return {**cfg, "dataset": {**cfg["dataset"], **changes}}
+
+
+# each maps the good config to a malformed one
+BAD_CONFIGS = {
+    "intervals_not_object": lambda cfg: {**cfg, "intervals": 5},
+    "columns_not_object": lambda cfg: _dataset_with(cfg, columns=5),
+    "repair_not_object": lambda cfg: _dataset_with(cfg, repair=[1]),
+    "dataset_not_object": lambda cfg: {**cfg, "dataset": 5},
+    "max_lag_negative": lambda cfg: {**cfg, "max_lag": -1},
+    "population_infinite": lambda cfg: {**cfg, "population": float("inf")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_malformed_config_exits_2(workspace, tmp_path, capsys, name):
+    root, _, config_path = workspace
+    cfg = json.loads(config_path.read_text())
+    cfg["dataset"]["path"] = str(root / "sim/dataset.csv")
+    cfg["output_dir"] = str(tmp_path / "out")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_CONFIGS[name](cfg)))
+    assert main(["fit", "--config", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _first_regime_with(scenario, regime):
+    return {**scenario, "regimes": [regime, *scenario["regimes"][1:]]}
+
+
+# each maps the good scenario to a malformed one
+BAD_SCENARIOS = {
+    "regimes_not_list": lambda sc: {**sc, "regimes": 5},
+    "regime_as_list": lambda sc: _first_regime_with(sc, [1, 50, 0.006]),
+    "lag_as_list": lambda sc: _first_regime_with(
+        sc, {**sc["regimes"][0], "lag": [4, 12]}),
+    "lag_reversed": lambda sc: _first_regime_with(
+        sc, {**sc["regimes"][0], "lag": {"a": 12, "b": 4}}),
+    "infections_not_numeric": lambda sc: {**sc, "infections": "abc"},
+    "top_level_list": lambda sc: [sc],
+    "population_infinite": lambda sc: {**sc, "population": float("inf")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCENARIOS))
+def test_malformed_scenario_exits_2(workspace, tmp_path, capsys, name):
+    _, scenario_path, _ = workspace
+    scenario = json.loads(scenario_path.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_SCENARIOS[name](scenario)))
+    assert main(["simulate", "--scenario", str(bad),
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_negative_sampling_seed_exits_2(workspace, tmp_path, capsys):
+    _, scenario_path, _ = workspace
+    assert main(["simulate", "--scenario", str(scenario_path), "--seed", "-1",
+                 "--mode", "sampled", "--output-dir", str(tmp_path / "out")]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_non_utf8_csv_exits_2(workspace, tmp_path, capsys):
+    root, _, config_path = workspace
+    data = (root / "sim/dataset.csv").read_bytes()
+    (tmp_path / "latin1.csv").write_bytes(data.replace(b"date", b"d\xe4te", 1))
+    cfg = json.loads(config_path.read_text())
+    cfg["dataset"]["path"] = str(tmp_path / "latin1.csv")
+    cfg["output_dir"] = str(tmp_path / "out")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["calibrate", "--config", str(bad)]) == 2
+    assert "error: CSV is not UTF-8" in capsys.readouterr().err
+
+
+def test_negative_max_lag_override_exits_2(workspace, capsys):
+    _, _, config_path = workspace
+    assert main(["fit-intervals", "--config", str(config_path),
+                 "--max-lag", "-1"]) == 2
+    assert "error: max_lag must be >= 0" in capsys.readouterr().err
+
+
 def test_infeasible_anchor_exits_3(workspace, tmp_path):
     root, _, config_path = workspace
     cfg = json.loads(config_path.read_text())
@@ -268,3 +351,13 @@ def test_module_entry_point(workspace):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_cli_import_skips_network_and_mail_modules():
+    # svgchart escapes text itself: xml.sax.saxutils would pull these in
+    probe = ("import sys, ifrlag.cli; "
+             "print(sorted(m for m in ('urllib.request', 'http.client', 'email') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -10,8 +10,8 @@ from ifrlag.domain import (
     AntibodyAnchor,
     DailySeries,
     anchor_from_study,
+    as_values,
     error_metric,
-    validate_dataset,
 )
 from ifrlag.fit import FitConfig, best_fit, closed_form_ifr
 from ifrlag.intervals import IntervalConfig, fit_intervals
@@ -32,35 +32,25 @@ finite_counts = st.lists(
 )
 
 
-def test_validate_returns_same_object_when_clean():
-    ds = make_dataset(cases=[1, 2, 3], tests=[10, 20, 30], deaths=[0, 0, 1])
-    assert validate_dataset(ds) is ds
-    # idempotent
-    assert validate_dataset(validate_dataset(ds)) is ds
-
-
 def test_cases_exceeding_tests_names_the_day():
-    ds = make_dataset(cases=[5], tests=[3])
     with pytest.raises(CasesExceedTests, match="day 1"):
-        validate_dataset(ds)
+        make_dataset(cases=[5], tests=[3])
 
 
 def test_length_mismatch_detected():
-    ds = make_dataset(cases=[1, 2, 3], tests=[10, 20, 30], deaths=[0, 0])
     with pytest.raises(LengthMismatch):
-        validate_dataset(ds)
+        make_dataset(cases=[1, 2, 3], tests=[10, 20, 30], deaths=[0, 0])
 
 
 def test_tests_above_population_rejected():
-    ds = make_dataset(cases=[1], tests=[2_000_000])
     with pytest.raises(PopulationExceeded):
-        validate_dataset(ds)
+        make_dataset(cases=[1], tests=[2_000_000])
 
 
 def test_negative_values_rejected_at_construction():
     with pytest.raises(NegativeValue, match="day 2"):
         DailySeries(ORIGIN, [1.0, -3.0])
-    with pytest.raises(NegativeValue):
+    with pytest.raises(DomainError, match="non-finite value nan at day 1"):
         DailySeries(ORIGIN, [np.nan])
 
 
@@ -160,3 +150,28 @@ def test_non_finite_input_rejected(name, bad):
         series[position][3] = bad
         with pytest.raises(DataError, match="non-finite value .* at day 4"):
             fn(*series)
+
+
+# each ill-formed input and the one DataError subclass its owner raises
+BAD_INPUTS = {
+    "series_nan": (lambda: DailySeries(ORIGIN, [1.0, np.nan]), DomainError),
+    "fit_intervals_lengths": (lambda: fit_intervals(np.ones(10), np.ones(9)),
+                              LengthMismatch),
+    "best_fit_lengths": (lambda: best_fit(np.ones(10), np.ones(9)), LengthMismatch),
+    "not_numeric": (lambda: as_values("abc"), DomainError),
+    "lag_negative": (lambda: LagDistribution(-1, 3), DomainError),
+    "fit_max_lag": (lambda: FitConfig(-1), DomainError),
+    "interval_width": (lambda: IntervalConfig(width=1), DomainError),
+    "dataset_cases_over_tests": (lambda: make_dataset(cases=[1, 5], tests=[2, 3]),
+                                 CasesExceedTests),
+    "dataset_population": (lambda: make_dataset(cases=[1], tests=[1], population=0),
+                           DomainError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_raises_its_data_error(name):
+    build, error = BAD_INPUTS[name]
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from ifrlag.domain import AntibodyAnchor
 from ifrlag.errors import (
+    CasesExceedTests,
     DegenerateSeries,
     DomainError,
     InfeasibleAnchorHigh,
@@ -47,10 +48,9 @@ def test_m_at_most_one_rejected():
 
 
 def test_positive_cases_with_zero_tests_rejected():
-    # construction skips validation on purpose; the estimator still guards
-    ds = make_dataset(cases=[5.0], tests=[0.0])
-    with pytest.raises(DomainError, match="day 1"):
-        estimate_infections(ds, 2.0)
+    # the Dataset refuses it, so the estimator never divides by zero coverage
+    with pytest.raises(CasesExceedTests, match="day 1"):
+        make_dataset(cases=[5.0], tests=[0.0])
 
 
 @settings(max_examples=50)

@@ -117,6 +117,15 @@ def test_unparseable_rows_name_the_line(row):
         load_dataset(raw, MAPPING, POLICY, 1_000_000, (MARCH, MARCH))
 
 
+def test_unreadable_csv_is_an_unparseable_row():
+    latin1 = "d\xe4te,cases,deaths,tests\n".encode("latin-1")
+    with pytest.raises(UnparseableRow, match="not UTF-8"):
+        load_dataset(latin1, MAPPING, POLICY, 1_000_000, (MARCH, MARCH))
+    oversized = csv_bytes([f'{day(1)},1,0,"{"9" * 200_000}"'])
+    with pytest.raises(UnparseableRow, match="line 2: field larger"):
+        load_dataset(oversized, MAPPING, POLICY, 1_000_000, (MARCH, MARCH))
+
+
 def test_duplicate_date_rejected():
     raw = csv_bytes([f"{day(1)},1,0,100", f"{day(1)},2,0,200"])
     with pytest.raises(UnparseableRow, match="duplicate"):

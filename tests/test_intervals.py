@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import bell
 from ifrlag.domain import DailySeries
-from ifrlag.errors import ZeroInfectionWindow
+from ifrlag.errors import DomainError, ZeroInfectionWindow
 from ifrlag.fit import FitConfig, best_fit
 from ifrlag.intervals import (
     WARN_FIRST_WINDOW,
@@ -279,9 +279,9 @@ def test_windows_are_contiguous_and_nonoverlapping():
 
 
 def test_interval_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         IntervalConfig(width=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         IntervalConfig(width=50, min_trailing=0)
     assert IntervalConfig(width=50).effective_max_lag == 49
     assert IntervalConfig(width=50, max_lag=10).effective_max_lag == 10

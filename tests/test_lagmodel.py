@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifrlag.errors import DomainError
 from ifrlag.lagmodel import (
     LagDistribution,
     shift_expectation,
@@ -34,9 +35,9 @@ def test_pmf_vector_sums_to_one():
 
 
 def test_invalid_lags_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         LagDistribution(-1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         LagDistribution(5, 4)
 
 

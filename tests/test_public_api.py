@@ -1,13 +1,15 @@
-"""Size of the public API: every defaulted parameter is an option to support.
+"""Size of the public API: every exported name and every defaulted parameter
+is something to support.
 
-A new option must have a caller outside tests; when one is added or removed
-on purpose, update DEFAULTED_PARAMETERS.
+A new name or option must have a caller outside tests; when one is added or
+removed on purpose, update PUBLIC_NAMES or DEFAULTED_PARAMETERS.
 """
 import inspect
 
 import ifrlag
 from ifrlag import svgchart, synth
 
+PUBLIC_NAMES = 28
 DEFAULTED_PARAMETERS = 31
 
 
@@ -25,3 +27,7 @@ def defaulted_parameters() -> list[str]:
 def test_defaulted_parameter_count():
     found = defaulted_parameters()
     assert len(found) == DEFAULTED_PARAMETERS, "\n".join(found)
+
+
+def test_public_name_count():
+    assert len(ifrlag.__all__) == PUBLIC_NAMES, ifrlag.__all__
