@@ -2,9 +2,10 @@
 simulate.
 
 Every command takes a JSON run configuration (paths inside it resolve
-relative to the config file) and writes its artifacts into the configured
-output directory. Outputs are deterministic for identical inputs, config
-and seed.
+relative to the config file), builds all its artifacts in memory and only
+then writes them into the configured output directory, so a run that fails
+leaves that directory as it was. Outputs are deterministic for identical
+inputs, config and seed.
 
 Exit codes: 0 success (warnings allowed), 2 input/validation error,
 3 infeasible calibration, 4 fit failure.
@@ -16,7 +17,9 @@ import csv
 import dataclasses
 import datetime as dt
 import hashlib
+import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,10 +121,11 @@ class RunConfig:
 def _prepare(config: RunConfig, m: float | None = None):
     """The front of every config command: load, log repairs, calibrate, estimate.
 
-    Writes the repair log, calibrates m against the antibody anchor unless
-    m is given, and estimates infections at m. Returns the dataset, the
-    calibration (None when m is given), the infections and the provenance
-    record.
+    Calibrates m against the antibody anchor unless m is given, and estimates
+    infections at m. Returns the dataset, the calibration (None when m is
+    given), the infections, the head every JSON artifact starts from
+    (config, provenance and, when calibrated, calibration) and the files
+    built so far: the repair log.
     """
     s = config.settings
     columns, anchor, rng = s["dataset"]["columns"], s["anchor"], s["date_range"]
@@ -134,45 +138,52 @@ def _prepare(config: RunConfig, m: float | None = None):
         (dt.date.fromisoformat(rng["start"]), dt.date.fromisoformat(rng["end"])),
         label=s["label"],
     )
-    _write_repair_log(config.output_dir / "repairs.jsonl", repairs)
+    files = {"repairs.jsonl": "".join(e.to_json() + "\n" for e in repairs)}
+    head = {"config": s,
+            "provenance": {"tool": "ifrlag", "version": __version__,
+                           "dataset_sha256": hashlib.sha256(raw).hexdigest()}}
     calibration = None
     if m is None:
         calibration = calibrate_m(dataset, anchor_from_study(
             dataset, dt.date.fromisoformat(anchor["date"]),
             fraction=anchor["fraction"], count=anchor["count"]))
         m = calibration.m
-    provenance = {"tool": "ifrlag", "version": __version__,
-                  "dataset_sha256": hashlib.sha256(raw).hexdigest()}
-    return dataset, calibration, estimate_infections(dataset, m), provenance
+        head["calibration"] = {"m": calibration.m,
+                               "achieved_sum": calibration.achieved_sum}
+    return dataset, calibration, estimate_infections(dataset, m), head, files
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-                    + "\n", encoding="utf-8")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_repair_log(path: Path, repairs) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(e.to_json() + "\n" for e in repairs), encoding="utf-8")
+def _csv(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+def _publish(out: Path, files: dict[str, str]) -> None:
+    """Write a command's artifacts, {file name: text}, into out.
+
+    Called once, after every artifact is built, so a command that raises
+    writes nothing. Every file is staged as out/.<name>.tmp before any is
+    moved into place with os.replace, so a failed write replaces nothing.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / f".{name}.tmp").write_bytes(text.encode("utf-8"))
+    for name in files:
+        os.replace(out / f".{name}.tmp", out / name)
 
 
 def cmd_calibrate(config: RunConfig) -> CalibrationResult:
-    _, result, _, provenance = _prepare(config)
-    _write_json(
-        config.output_dir / "calibration.json",
-        {
-            "config": config.settings,
-            "calibration": {
-                "m": result.m,
-                "achieved_sum": result.achieved_sum,
-                "anchor_day": result.anchor.day_index,
-                "anchor_count": result.anchor.infected_count,
-                "iterations": result.iterations,
-            },
-            "provenance": provenance,
-        },
-    )
+    _, result, _, head, files = _prepare(config)
+    head["calibration"] |= {"anchor_day": result.anchor.day_index,
+                            "anchor_count": result.anchor.infected_count,
+                            "iterations": result.iterations}
+    files["calibration.json"] = _json(head)
+    _publish(config.output_dir, files)
     print(f"{config.label}: m = {result.m:.4f} "
           f"(anchor sum {result.achieved_sum:,.0f} at day {result.anchor.day_index},"
           f" {result.iterations} iterations)")
@@ -180,34 +191,28 @@ def cmd_calibrate(config: RunConfig) -> CalibrationResult:
 
 
 def cmd_fit(config: RunConfig) -> None:
-    dataset, calibration, infections, provenance = _prepare(config)
-    fit = best_fit(infections, dataset.deaths,
-                   FitConfig(max_lag=config.settings["max_lag"]))
-    _write_json(
-        config.output_dir / "fit.json",
-        {
-            "config": config.settings,
-            "calibration": {"m": calibration.m,
-                            "achieved_sum": calibration.achieved_sum},
-            "fit": {
-                "lag_a": fit.lag_a,
-                "lag_b": fit.lag_b,
-                "mean_lag": fit.mean_lag,
-                "ifr": fit.ifr,
-                "error": fit.error,
-            },
-            "provenance": provenance,
+    fit_config = FitConfig(max_lag=config.settings["max_lag"])
+    dataset, _, infections, head, files = _prepare(config)
+    fit = best_fit(infections, dataset.deaths, fit_config)
+    files["fit.json"] = _json({
+        **head,
+        "fit": {
+            "lag_a": fit.lag_a,
+            "lag_b": fit.lag_b,
+            "mean_lag": fit.mean_lag,
+            "ifr": fit.ifr,
+            "error": fit.error,
         },
-    )
+    })
+    _publish(config.output_dir, files)
     print(f"{config.label}: lag Uniform({fit.lag_a},{fit.lag_b}) "
           f"mean {fit.mean_lag:.1f} d, IFR {fit.ifr * 100:.3f}%, "
           f"error {fit.error:,.1f}")
 
 
-def _write_charts(out: Path, dataset: Dataset, infections, report: IntervalReport
-                  ) -> None:
+def _charts(dataset: Dataset, infections, report: IntervalReport) -> dict[str, str]:
     boundaries = tuple(w.end_day for w in report.windows[:-1])
-    charts = {
+    return {
         "infections.svg": line_chart(
             f"{dataset.label}: reported cases vs estimated infections",
             [("cases", dataset.cases.values),
@@ -227,53 +232,34 @@ def _write_charts(out: Path, dataset: Dataset, infections, report: IntervalRepor
             day_markers=boundaries,
         ),
     }
-    for name, svg in charts.items():
-        (out / name).write_text(svg, encoding="utf-8")
-
-
-def _write_intervals_csv(path: Path, report: IntervalReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["start_day", "end_day", "lag_a", "lag_b", "ifr", "error", "warnings"]
-        )
-        for row in report.to_rows():
-            writer.writerow(
-                [row["start_day"], row["end_day"], row["lag_a"], row["lag_b"],
-                 f"{row['ifr']:.10g}", f"{row['error']:.10g}",
-                 ";".join(row["warnings"])]
-            )
 
 
 def cmd_fit_intervals(config: RunConfig) -> IntervalReport:
-    dataset, calibration, infections, provenance = _prepare(config)
     s = config.settings
-    report = fit_intervals(
-        infections,
-        dataset.deaths,
-        IntervalConfig(**s["intervals"], max_lag=s["max_lag"]),
-    )
-    out = config.output_dir
-    _write_json(
-        out / "report.json",
-        {
-            "config": s,
-            "calibration": {"m": calibration.m,
-                            "achieved_sum": calibration.achieved_sum},
-            "windows": report.to_rows(),
-            "series": {
-                "cases": dataset.cases.values.tolist(),
-                "tests": dataset.tests.values.tolist(),
-                "infections": infections.values.tolist(),
-                "deaths": dataset.deaths.values.tolist(),
-                "candidate_deaths": report.candidate_deaths.tolist(),
-            },
-            "report_warnings": list(report.warnings),
-            "provenance": provenance,
+    interval_config = IntervalConfig(**s["intervals"], max_lag=s["max_lag"])
+    dataset, calibration, infections, head, files = _prepare(config)
+    report = fit_intervals(infections, dataset.deaths, interval_config)
+    rows = report.to_rows()
+    files["report.json"] = _json({
+        **head,
+        "windows": rows,
+        "series": {
+            "cases": dataset.cases.values.tolist(),
+            "tests": dataset.tests.values.tolist(),
+            "infections": infections.values.tolist(),
+            "deaths": dataset.deaths.values.tolist(),
+            "candidate_deaths": report.candidate_deaths.tolist(),
         },
-    )
-    _write_intervals_csv(out / "intervals.csv", report)
-    _write_charts(out, dataset, infections, report)
+        "report_warnings": list(report.warnings),
+    })
+    files["intervals.csv"] = _csv([
+        ["start_day", "end_day", "lag_a", "lag_b", "ifr", "error", "warnings"],
+        *([row["start_day"], row["end_day"], row["lag_a"], row["lag_b"],
+           f"{row['ifr']:.10g}", f"{row['error']:.10g}", ";".join(row["warnings"])]
+          for row in rows),
+    ])
+    files |= _charts(dataset, infections, report)
+    _publish(config.output_dir, files)
 
     print(f"{config.label}: m = {calibration.m:.4f}")
     print(f"{'days':>12}  {'lag':>10}  {'IFR':>8}  {'error':>12}  warnings")
@@ -288,18 +274,16 @@ def cmd_fit_intervals(config: RunConfig) -> IntervalReport:
 
 
 def cmd_estimate_infections(config: RunConfig, m: float) -> None:
-    dataset, _, infections, _ = _prepare(config, m)
-    with open(config.output_dir / "infections.csv", "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "date", "cases", "tests", "infections"])
-        for j in range(len(dataset)):
-            writer.writerow(
-                [j + 1, dataset.cases.date_of(j + 1).isoformat(),
-                 f"{dataset.cases.values[j]:.0f}",
-                 f"{dataset.tests.values[j]:.0f}",
-                 f"{infections.values[j]:.6f}"]
-            )
+    dataset, _, infections, _, files = _prepare(config, m)
+    files["infections.csv"] = _csv([
+        ["day", "date", "cases", "tests", "infections"],
+        *([j + 1, dataset.cases.date_of(j + 1).isoformat(),
+           f"{dataset.cases.values[j]:.0f}",
+           f"{dataset.tests.values[j]:.0f}",
+           f"{infections.values[j]:.6f}"]
+          for j in range(len(dataset))),
+    ])
+    _publish(config.output_dir, files)
     total_c, total_i = dataset.cases.values.sum(), infections.values.sum()
     print(f"{config.label}: m = {m:g}, total cases {total_c:,.0f}, "
           f"estimated infections {total_i:,.0f} (x{total_i / max(total_c, 1):.2f})")
@@ -316,16 +300,13 @@ def cmd_simulate(scenario_path, output_dir, seed: int, mode: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_dataset_csv(dataset, out / "dataset.csv")
     cumulative = np.cumsum(scenario.infections.values)
-    _write_json(
-        out / "ground_truth.json",
-        {
-            "scenario": scenario.to_dict(),
-            "mode": mode,
-            "seed": seed,
-            "cumulative_infections": cumulative.tolist(),
-            "total_deaths": float(dataset.deaths.values.sum()),
-        },
-    )
+    _publish(out, {"ground_truth.json": _json({
+        "scenario": scenario.to_dict(),
+        "mode": mode,
+        "seed": seed,
+        "cumulative_infections": cumulative.tolist(),
+        "total_deaths": float(dataset.deaths.values.sum()),
+    })})
     print(f"wrote {out / 'dataset.csv'} ({len(dataset)} days, mode={mode}, "
           f"seed={seed}) and ground_truth.json")
 

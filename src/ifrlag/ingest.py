@@ -182,12 +182,8 @@ def _fill_test_gaps(tests: list[float | None], policy: RepairPolicy,
         raise GapUnrepairable(
             f"tests missing at day {edge + 1} with no flanking observation"
         )
-    xs = np.asarray(observed, dtype=float)
-    ys = np.asarray([tests[j] for j in observed], dtype=float)
-    filled = np.asarray(
-        [v if v is not None else np.interp(j, xs, ys)
-         for j, v in enumerate(tests)]
-    )
+    filled = np.array(tests, dtype=float)  # None becomes nan
+    filled[missing] = np.interp(missing, observed, filled[observed])
     for j in missing:
         log.append(RepairEntry(day=j + 1, field="tests", action="interpolate",
                                value=float(filled[j])))

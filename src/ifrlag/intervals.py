@@ -51,6 +51,8 @@ class IntervalConfig:
             raise DomainError(f"window width must be >= 2, got {self.width}")
         if self.min_trailing < 1:
             raise DomainError("min_trailing must be >= 1")
+        if self.max_lag is not None and self.max_lag < 0:
+            raise DomainError(f"max_lag must be >= 0, got {self.max_lag}")
 
     @property
     def effective_max_lag(self) -> int:

@@ -1,11 +1,14 @@
+import ast
 import datetime as dt
 import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from ifrlag import cli
 from ifrlag.cli import main
 from ifrlag.synth import default_scenario
 
@@ -331,6 +334,61 @@ def test_infeasible_anchor_exits_3(workspace, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     assert main(["calibrate", "--config", str(bad)]) == 3
+
+
+# each maps the good config to a failing run: (config, extra arguments, exit)
+FAILING_RUNS = {
+    "calibrate_infeasible_anchor": lambda cfg: (
+        {**cfg, "anchor": {"date": cfg["anchor"]["date"], "count": 1.0}},
+        ["calibrate"], 3),
+    "fit_intervals_negative_max_lag": lambda cfg: (
+        cfg, ["fit-intervals", "--max-lag", "-1"], 2),
+    "estimate_infections_m_1": lambda cfg: (
+        cfg, ["estimate-infections", "--m", "1"], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_RUNS))
+def test_failed_run_leaves_output_dir_as_it_was(workspace, tmp_path, name):
+    root, _, config_path = workspace
+    cfg = json.loads(config_path.read_text())
+    cfg["dataset"]["path"] = str(root / "sim/dataset.csv")
+    cfg["output_dir"] = str(tmp_path / "out")
+    cfg, args, code = FAILING_RUNS[name](cfg)
+    out = tmp_path / "out"
+    out.mkdir()
+    before = {"repairs.jsonl": b"old\n", "report.json": b"{}\n"}
+    for fname, raw in before.items():
+        (out / fname).write_bytes(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main([args[0], "--config", str(bad), *args[1:]]) == code
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# every file write in cli.py, by the call that makes it, and its one owner
+WRITERS = {"open": "_publish", "write_text": "_publish", "write_bytes": "_publish",
+           "os.replace": "_publish", "write_dataset_csv": "cmd_simulate"}
+
+
+def _call_names(node):
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute):
+                yield func.attr
+                if isinstance(func.value, ast.Name):
+                    yield f"{func.value.id}.{func.attr}"
+
+
+def test_only_publish_writes_files():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    found = {(name, getattr(node, "name", "<module>"))
+             for node in tree.body for name in _call_names(node) if name in WRITERS}
+    assert found <= set(WRITERS.items()), sorted(found)
+    assert {("os.replace", "_publish"), ("write_dataset_csv", "cmd_simulate")} <= found
 
 
 def test_anchor_outside_range_exits_2(workspace, tmp_path):

@@ -283,6 +283,8 @@ def test_interval_config_validation():
         IntervalConfig(width=1)
     with pytest.raises(DomainError):
         IntervalConfig(width=50, min_trailing=0)
+    with pytest.raises(DomainError, match="max_lag must be >= 0"):
+        IntervalConfig(max_lag=-1)
     assert IntervalConfig(width=50).effective_max_lag == 49
     assert IntervalConfig(width=50, max_lag=10).effective_max_lag == 10
     assert IntervalConfig(width=8, max_lag=20).effective_max_lag == 7
