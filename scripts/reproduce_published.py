@@ -20,7 +20,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from ifrlag.cli import RunConfig, cmd_fit_intervals  # noqa: E402
+from ifrlag.cli import RunConfig, main as cli_main  # noqa: E402
 
 COUNTRIES = {
     "United States": "united_states",
@@ -63,28 +63,32 @@ def split_snapshot(snapshot: Path, data_dir: Path) -> None:
 
 
 def run_country(slug: str) -> None:
-    config = RunConfig.from_json(REPO / "configs" / f"{slug}.json")
+    path = REPO / "configs" / f"{slug}.json"
+    code = cli_main(["fit-intervals", "--config", str(path)])
+    if code != 0:
+        print(f"{slug} failed: exit {code}")
+        return
+    out = RunConfig.from_json(path).output_dir
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     published = PUBLISHED[slug]
-    print(f"\n=== {config.label} ===")
-    report = cmd_fit_intervals(config)
-    payload = json.loads(
-        (config.output_dir / "report.json").read_text())
-    m = payload["calibration"]["m"]
+    print(f"\n=== {report['config']['label']} ===")
+    m = report["calibration"]["m"]
     print(f"published m: {published['m']}   this run: {m:.2f}")
-    for n, (window, ref) in enumerate(zip(report.windows, published["ifr"]),
+    for n, (window, ref) in enumerate(zip(report["windows"], published["ifr"]),
                                       start=1):
         ref_text = f"{ref:.2%}" if ref is not None else "n/a"
+        mean_lag = (window["lag_a"] + window["lag_b"]) / 2
         print(f"  window {n}: published {ref_text:>7}   "
-              f"this run {window.fit.ifr:.2%}   "
-              f"lag U({window.fit.lag_a},{window.fit.lag_b}) "
-              f"mean {window.fit.mean_lag:.1f} d")
+              f"this run {window['ifr']:.2%}   "
+              f"lag U({window['lag_a']},{window['lag_b']}) "
+              f"mean {mean_lag:.1f} d")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--snapshot", type=Path, default=None,
                         help="multi-country daily CSV to split by location")
-    parser.add_argument("--countries", nargs="*",
+    parser.add_argument("--countries", nargs="*", choices=list(COUNTRIES.values()),
                         default=list(COUNTRIES.values()))
     args = parser.parse_args()
 
@@ -96,10 +100,7 @@ def main() -> int:
             print(f"skipping {slug}: no {data_dir / f'{slug}.csv'} "
                   f"(pass --snapshot or place the file yourself)")
             continue
-        try:
-            run_country(slug)
-        except Exception as exc:  # a bad country should not kill the rest
-            print(f"{slug} failed: {type(exc).__name__}: {exc}")
+        run_country(slug)
     return 0
 
 

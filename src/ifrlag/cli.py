@@ -4,11 +4,11 @@ simulate.
 Every command takes a JSON run configuration (paths inside it resolve
 relative to the config file), builds all its artifacts in memory and only
 then writes them into the configured output directory, so a run that fails
-leaves that directory as it was. Outputs are deterministic for identical
-inputs, config and seed.
+before writing leaves that directory as it was. Outputs are deterministic
+for identical inputs, config and seed.
 
-Exit codes: 0 success (warnings allowed), 2 input/validation error,
-3 infeasible calibration, 4 fit failure.
+Exit codes: 0 success (warnings allowed), 2 input, validation or file-system
+error, 3 infeasible calibration, 4 fit failure.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from . import __version__
 from .domain import Dataset, anchor_from_study
 from .errors import CalibrationError, ConfigError, DataError, FitError
 from .fit import FitConfig, best_fit
-from .infection import CalibrationResult, calibrate_m, estimate_infections
+from .infection import calibrate_m, estimate_infections
 from .ingest import ColumnMapping, RepairPolicy, load_dataset, write_dataset_csv
 from .intervals import IntervalConfig, IntervalReport, fit_intervals
 from .svgchart import line_chart
@@ -53,10 +53,9 @@ class RunConfig:
     """A run configuration.
 
     settings is the config JSON with every default filled in and each value
-    normalised; the JSON artifacts echo it verbatim. The fit-intervals
-    --width and --max-lag overrides are written into it, so the echo shows
-    what ran. Paths resolve relative to the config file, but the echo keeps
-    the dataset path as written: the dataset's sha256 identifies the data.
+    normalised; the JSON artifacts echo it verbatim. Paths resolve relative
+    to the config file, but the echo keeps the dataset path as written: the
+    dataset's sha256 identifies the data.
     """
 
     settings: dict
@@ -101,8 +100,6 @@ class RunConfig:
                       (base / data.get("output_dir", "out")).resolve())
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
-        if not cfg.csv_path.exists():
-            raise ConfigError(f"dataset file not found: {cfg.csv_path}")
         anchor, rng = settings["anchor"], settings["date_range"]
         if not rng["start"] <= anchor["date"] <= rng["end"]:  # ISO dates sort as text
             raise ConfigError(
@@ -168,16 +165,21 @@ def _publish(out: Path, files: dict[str, str]) -> None:
 
     Called once, after every artifact is built, so a command that raises
     writes nothing. Every file is staged as out/.<name>.tmp before any is
-    moved into place with os.replace, so a failed write replaces nothing.
+    moved into place with os.replace: a failed write replaces nothing, a
+    failed move keeps the files moved before it, and no .tmp file remains.
     """
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / f".{name}.tmp").write_bytes(text.encode("utf-8"))
-    for name in files:
-        os.replace(out / f".{name}.tmp", out / name)
+    try:
+        for name, text in files.items():
+            (out / f".{name}.tmp").write_bytes(text.encode("utf-8"))
+        for name in files:
+            os.replace(out / f".{name}.tmp", out / name)
+    finally:
+        for name in files:
+            (out / f".{name}.tmp").unlink(missing_ok=True)
 
 
-def cmd_calibrate(config: RunConfig) -> CalibrationResult:
+def cmd_calibrate(config: RunConfig) -> None:
     _, result, _, head, files = _prepare(config)
     head["calibration"] |= {"anchor_day": result.anchor.day_index,
                             "anchor_count": result.anchor.infected_count,
@@ -187,7 +189,6 @@ def cmd_calibrate(config: RunConfig) -> CalibrationResult:
     print(f"{config.label}: m = {result.m:.4f} "
           f"(anchor sum {result.achieved_sum:,.0f} at day {result.anchor.day_index},"
           f" {result.iterations} iterations)")
-    return result
 
 
 def cmd_fit(config: RunConfig) -> None:
@@ -234,7 +235,7 @@ def _charts(dataset: Dataset, infections, report: IntervalReport) -> dict[str, s
     }
 
 
-def cmd_fit_intervals(config: RunConfig) -> IntervalReport:
+def cmd_fit_intervals(config: RunConfig) -> None:
     s = config.settings
     interval_config = IntervalConfig(**s["intervals"], max_lag=s["max_lag"])
     dataset, calibration, infections, head, files = _prepare(config)
@@ -270,7 +271,6 @@ def cmd_fit_intervals(config: RunConfig) -> IntervalReport:
               f"{w.fit.error:12.4g}  {';'.join(w.warnings)}")
     for warning in report.warnings:
         print(f"note: {warning}")
-    return report
 
 
 def cmd_estimate_infections(config: RunConfig, m: float) -> None:
@@ -328,11 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run configuration JSON")
-        if name == "fit-intervals":
-            p.add_argument("--width", type=int, default=None,
-                           help="override interval width")
-            p.add_argument("--max-lag", type=int, default=None,
-                           help="override lag grid bound")
         if name == "estimate-infections":
             p.add_argument("--m", type=float, required=True,
                            help="ascertainment exponent (> 1)")
@@ -353,10 +348,6 @@ def main(argv=None) -> int:
             return EXIT_OK
         config = RunConfig.from_json(args.config)
         if args.command == "fit-intervals":
-            if args.width is not None:
-                config.settings["intervals"]["width"] = args.width
-            if args.max_lag is not None:
-                config.settings["max_lag"] = args.max_lag
             cmd_fit_intervals(config)
         elif args.command == "calibrate":
             cmd_calibrate(config)
@@ -365,7 +356,7 @@ def main(argv=None) -> int:
         elif args.command == "estimate-infections":
             cmd_estimate_infections(config, args.m)
         return EXIT_OK
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except CalibrationError as exc:

@@ -39,6 +39,13 @@ def as_values(x) -> np.ndarray:
     return v
 
 
+def require_int(**fields) -> None:
+    """Raise DomainError unless every named value is an int."""
+    for name, value in fields.items():
+        if not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     """as_values of two series that must have the same length."""
     xv, yv = as_values(x), as_values(y)
@@ -131,6 +138,7 @@ class AntibodyAnchor:
     infected_count: float
 
     def __post_init__(self):
+        require_int(day_index=self.day_index)
         if self.day_index < 1:
             raise DomainError(f"anchor day index {self.day_index} must be >= 1")
         if not self.infected_count > 0:

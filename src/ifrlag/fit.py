@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FitResult, as_pair
+from .domain import FitResult, as_pair, require_int
 from .errors import DomainError, ZeroInfectionSeries, ZeroShiftedSeries
 from .lagmodel import LagDistribution
 
@@ -23,6 +23,7 @@ class FitConfig:
     max_lag: int = 50
 
     def __post_init__(self):
+        require_int(max_lag=self.max_lag)
         if self.max_lag < 0:
             raise DomainError(f"max_lag must be >= 0, got {self.max_lag}")
 

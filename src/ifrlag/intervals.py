@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FitResult, as_pair
+from .domain import FitResult, as_pair, require_int
 from .errors import DomainError, FitError, ZeroInfectionWindow
 from .fit import FitConfig, best_fit
 from .lagmodel import LagDistribution, shift_expectation_elongated
@@ -47,12 +47,15 @@ class IntervalConfig:
     max_lag: int | None = None
 
     def __post_init__(self):
+        require_int(width=self.width, min_trailing=self.min_trailing)
         if self.width < 2:
             raise DomainError(f"window width must be >= 2, got {self.width}")
         if self.min_trailing < 1:
             raise DomainError("min_trailing must be >= 1")
-        if self.max_lag is not None and self.max_lag < 0:
-            raise DomainError(f"max_lag must be >= 0, got {self.max_lag}")
+        if self.max_lag is not None:
+            require_int(max_lag=self.max_lag)
+            if self.max_lag < 0:
+                raise DomainError(f"max_lag must be >= 0, got {self.max_lag}")
 
     @property
     def effective_max_lag(self) -> int:
@@ -106,12 +109,12 @@ def _is_flat(deaths: np.ndarray) -> bool:
 def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalReport:
     """Windowed fit with left-to-right residual-death carryover.
 
-    Each window: subtract the previous window's residuals from its raw
-    deaths, fit lag and rate on the adjusted deaths, then emit its own
-    residuals. Negative adjusted deaths are passed through unclamped (least
-    squares tolerates them; clamping would bias the rate upward) and
-    flagged, as are negative fitted rates and near-flat death windows where
-    the lag is poorly identified.
+    Each window: subtract the previous window's residuals (by then the only
+    candidate deaths in it) from its raw deaths, fit lag and rate on the
+    adjusted deaths, then add its own candidate deaths. Negative adjusted
+    deaths pass through unclamped (least squares tolerates them; clamping
+    would bias the rate upward) and are flagged, as are negative fitted rates
+    and near-flat death windows where the lag is poorly identified.
     """
     iv, dv = as_pair(i, d)
     k, w = len(iv), config.width
@@ -130,7 +133,6 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
 
     fit_config = FitConfig(max_lag=config.effective_max_lag)
     candidate = np.zeros(k)
-    residual_in = np.zeros(0)
     windows: list[WindowResult] = []
     for n, s in enumerate(starts, start=1):
         e = min(s + w, k)
@@ -139,10 +141,8 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
         if n == 1:
             warnings.append(WARN_FIRST_WINDOW)
 
-        adjusted = dv[s:e].copy()
-        n_sub = min(len(residual_in), len(adjusted))
-        adjusted[:n_sub] -= residual_in[:n_sub]
-        if n_sub < len(residual_in):
+        adjusted = dv[s:e] - candidate[s:e]
+        if windows and len(windows[-1].residual_out) > e - s:
             warnings.append(WARN_RESIDUAL_OVERFLOW)
         if np.any(adjusted < 0):
             warnings.append(WARN_NEGATIVE_ADJUSTED)
@@ -181,7 +181,6 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
                 warnings=tuple(warnings),
             )
         )
-        residual_in = residual_out
 
     return IntervalReport(
         windows=tuple(windows),

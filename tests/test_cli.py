@@ -165,15 +165,21 @@ def test_estimate_infections_csv(workspace):
     assert float(first[4]) >= float(first[2])  # infections dominate cases
 
 
-def test_width_and_max_lag_overrides(workspace, tmp_path):
+def _config_file(workspace, tmp_path, **changes) -> str:
+    """The workspace config, changed at the top level, writing to tmp_path/out."""
     root, _, config_path = workspace
     cfg = json.loads(config_path.read_text())
     cfg["dataset"]["path"] = str(root / "sim/dataset.csv")
     cfg["output_dir"] = str(tmp_path / "out")
-    override = tmp_path / "cfg.json"
-    override.write_text(json.dumps(cfg))
-    assert main(["fit-intervals", "--config", str(override),
-                 "--width", "25", "--max-lag", "8"]) == 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, **changes}))
+    return str(path)
+
+
+def test_width_and_max_lag_overrides(workspace, tmp_path):
+    cfg = _config_file(workspace, tmp_path,
+                       intervals={"width": 25, "min_trailing": 10}, max_lag=8)
+    assert main(["fit-intervals", "--config", cfg]) == 0
     report = json.loads((tmp_path / "out/report.json").read_text())
     assert len(report["windows"]) == 4
     assert all(w["lag_b"] <= 8 for w in report["windows"])
@@ -235,10 +241,9 @@ def test_missing_scenario_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_invalid_width_exits_2(workspace, capsys):
-    _, _, config_path = workspace
-    assert main(["fit-intervals", "--config", str(config_path),
-                 "--width", "1"]) == 2
+def test_invalid_width_exits_2(workspace, tmp_path, capsys):
+    cfg = _config_file(workspace, tmp_path, intervals={"width": 1})
+    assert main(["fit-intervals", "--config", cfg]) == 2
     assert "error" in capsys.readouterr().err
 
 
@@ -318,11 +323,52 @@ def test_non_utf8_csv_exits_2(workspace, tmp_path, capsys):
     assert "error: CSV is not UTF-8" in capsys.readouterr().err
 
 
-def test_negative_max_lag_override_exits_2(workspace, capsys):
-    _, _, config_path = workspace
-    assert main(["fit-intervals", "--config", str(config_path),
-                 "--max-lag", "-1"]) == 2
+def test_negative_max_lag_override_exits_2(workspace, tmp_path, capsys):
+    cfg = _config_file(workspace, tmp_path, max_lag=-1)
+    assert main(["fit-intervals", "--config", cfg]) == 2
     assert "error: max_lag must be >= 0" in capsys.readouterr().err
+
+
+def _file_at(path: Path) -> Path:
+    path.write_text("a file, not a directory\n")
+    return path
+
+
+def _dataset_is_directory(workspace, tmp_path):
+    cfg = _config_file(workspace, tmp_path, dataset={"path": str(tmp_path)})
+    return ["calibrate", "--config", cfg]
+
+
+def _output_dir_under_file(workspace, tmp_path):
+    out = _file_at(tmp_path / "blocker") / "out"
+    cfg = _config_file(workspace, tmp_path, output_dir=str(out))
+    return ["calibrate", "--config", cfg]
+
+
+def _simulate_output_dir_under_file(workspace, tmp_path):
+    out = _file_at(tmp_path / "blocker") / "out"
+    return ["simulate", "--scenario", str(workspace[1]), "--output-dir", str(out)]
+
+
+def _report_is_directory(workspace, tmp_path):
+    (tmp_path / "out/report.json").mkdir(parents=True)
+    return ["fit-intervals", "--config", _config_file(workspace, tmp_path)]
+
+
+# each sets up one file-system fault and returns the command line that meets it
+FS_FAULTS = {
+    "dataset_is_directory": _dataset_is_directory,
+    "output_dir_under_file": _output_dir_under_file,
+    "simulate_output_dir_under_file": _simulate_output_dir_under_file,
+    "report_is_directory": _report_is_directory,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FS_FAULTS))
+def test_file_system_error_exits_2(workspace, tmp_path, capsys, name):
+    assert main(FS_FAULTS[name](workspace, tmp_path)) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_infeasible_anchor_exits_3(workspace, tmp_path):
@@ -342,7 +388,7 @@ FAILING_RUNS = {
         {**cfg, "anchor": {"date": cfg["anchor"]["date"], "count": 1.0}},
         ["calibrate"], 3),
     "fit_intervals_negative_max_lag": lambda cfg: (
-        cfg, ["fit-intervals", "--max-lag", "-1"], 2),
+        {**cfg, "max_lag": -1}, ["fit-intervals"], 2),
     "estimate_infections_m_1": lambda cfg: (
         cfg, ["estimate-infections", "--m", "1"], 2),
 }

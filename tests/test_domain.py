@@ -162,6 +162,12 @@ BAD_INPUTS = {
     "lag_negative": (lambda: LagDistribution(-1, 3), DomainError),
     "fit_max_lag": (lambda: FitConfig(-1), DomainError),
     "interval_width": (lambda: IntervalConfig(width=1), DomainError),
+    "fit_max_lag_not_int": (lambda: FitConfig(max_lag=2.5), DomainError),
+    "interval_width_not_int": (lambda: IntervalConfig(width=5.5), DomainError),
+    "interval_min_trailing_not_int": (lambda: IntervalConfig(min_trailing=2.5),
+                                      DomainError),
+    "interval_max_lag_not_int": (lambda: IntervalConfig(max_lag=2.5), DomainError),
+    "anchor_day_not_int": (lambda: AntibodyAnchor(2.5, 500.0), DomainError),
     "dataset_cases_over_tests": (lambda: make_dataset(cases=[1, 5], tests=[2, 3]),
                                  CasesExceedTests),
     "dataset_population": (lambda: make_dataset(cases=[1], tests=[1], population=0),

@@ -1,16 +1,27 @@
-"""Size of the public API: every exported name and every defaulted parameter
-is something to support.
+"""Size of the public API: every exported name, every defaulted parameter and
+every command-line option is something to support.
 
-A new name or option must have a caller outside tests; when one is added or
-removed on purpose, update PUBLIC_NAMES or DEFAULTED_PARAMETERS.
+A new name, parameter or flag must have a caller outside tests; when one is
+added or removed on purpose, update PUBLIC_NAMES, DEFAULTED_PARAMETERS or
+CLI_OPTIONS.
 """
+import argparse
 import inspect
 
 import ifrlag
-from ifrlag import svgchart, synth
+from ifrlag import cli, svgchart, synth
 
 PUBLIC_NAMES = 28
 DEFAULTED_PARAMETERS = 31
+# option strings by subcommand ("ifrlag" is the top level), without -h/--help
+CLI_OPTIONS = {
+    "ifrlag": ["--version"],
+    "calibrate": ["--config"],
+    "fit": ["--config"],
+    "fit-intervals": ["--config"],
+    "estimate-infections": ["--config", "--m"],
+    "simulate": ["--mode", "--output-dir", "--scenario", "--seed"],
+}
 
 
 def defaulted_parameters() -> list[str]:
@@ -31,3 +42,16 @@ def test_defaulted_parameter_count():
 
 def test_public_name_count():
     assert len(ifrlag.__all__) == PUBLIC_NAMES, ifrlag.__all__
+
+
+def _options(parser: argparse.ArgumentParser) -> list[str]:
+    return sorted(s for action in parser._actions for s in action.option_strings
+                  if s not in ("-h", "--help"))
+
+
+def test_cli_options():
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {"ifrlag": _options(parser),
+             **{name: _options(p) for name, p in sub.choices.items()}}
+    assert found == CLI_OPTIONS
