@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .domain import Dataset, anchor_from_study
-from .errors import CalibrationError, ConfigError, DataError, FitError
+from .domain import Dataset, anchor_from_study, require_int
+from .errors import CalibrationError, ConfigError, DataError, DomainError, FitError
 from .fit import FitConfig, best_fit
 from .infection import calibrate_m, estimate_infections
 from .ingest import ColumnMapping, RepairPolicy, load_dataset, write_dataset_csv
@@ -82,7 +82,7 @@ class RunConfig:
                     "repair": {k: repair.get(k, v) for k, v
                                in dataclasses.asdict(RepairPolicy()).items()},
                 },
-                "population": int(data["population"]),
+                "population": data["population"],
                 "anchor": {
                     "date": _iso_date(anchor["date"]),
                     "fraction": (
@@ -92,13 +92,18 @@ class RunConfig:
                 },
                 "date_range": {"start": _iso_date(rng["start"]),
                                "end": _iso_date(rng["end"])},
-                "intervals": {k: int(intervals.get(k, getattr(IntervalConfig(), k)))
+                "intervals": {k: intervals.get(k, getattr(IntervalConfig(), k))
                               for k in ("width", "min_trailing")},
-                "max_lag": int(data.get("max_lag", FitConfig().max_lag)),
+                "max_lag": data.get("max_lag", FitConfig().max_lag),
             }
+            # JSON integers only: no fraction, float or true/false
+            require_int(population=settings["population"],
+                        max_lag=settings["max_lag"],
+                        **{f"intervals.{k}": v for k, v in settings["intervals"].items()})
             cfg = cls(settings, (base / ds["path"]).resolve(),
                       (base / data.get("output_dir", "out")).resolve())
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (AttributeError, DomainError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
         anchor, rng = settings["anchor"], settings["date_range"]
         if not rng["start"] <= anchor["date"] <= rng["end"]:  # ISO dates sort as text
@@ -345,16 +350,26 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             cmd_simulate(args.scenario, args.output_dir, args.seed, args.mode)
-            return EXIT_OK
-        config = RunConfig.from_json(args.config)
-        if args.command == "fit-intervals":
-            cmd_fit_intervals(config)
-        elif args.command == "calibrate":
-            cmd_calibrate(config)
-        elif args.command == "fit":
-            cmd_fit(config)
-        elif args.command == "estimate-infections":
-            cmd_estimate_infections(config, args.m)
+        else:
+            config = RunConfig.from_json(args.config)
+            if args.command == "fit-intervals":
+                cmd_fit_intervals(config)
+            elif args.command == "calibrate":
+                cmd_calibrate(config)
+            elif args.command == "fit":
+                cmd_fit(config)
+            elif args.command == "estimate-infections":
+                cmd_estimate_infections(config, args.m)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return EXIT_OK
+    except BrokenPipeError:
+        # the reader of stdout left after every artifact was published. Close
+        # stdout, dropping the summary it still buffers, so that the flush at
+        # interpreter exit does not fail again with a traceback
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
         return EXIT_OK
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

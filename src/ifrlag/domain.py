@@ -40,9 +40,9 @@ def as_values(x) -> np.ndarray:
 
 
 def require_int(**fields) -> None:
-    """Raise DomainError unless every named value is an int."""
+    """Raise DomainError unless every named value is an int (not a bool)."""
     for name, value in fields.items():
-        if not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 

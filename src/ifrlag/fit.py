@@ -2,8 +2,13 @@
 
 For a fixed lag law the best vertical scaling has a closed form: the error
 sum_j (r * i'_j - d_j)^2 is quadratic in r with unique minimizer
-r = (i' . d) / ||i'||^2. The lag parameters themselves are found by
-exhaustive search over every integer pair a <= b <= max_lag.
+r = (i' . d) / ||i'||^2, and its minimum is ||d||^2 - (i' . d)^2 / ||i'||^2.
+The lag pair is the best over every integer a <= b <= max_lag, found by a
+filter and a re-score. The filter reads every pair's minimum, with a bound
+on its rounding, off summed-area tables of lag sums in O(k L + L^2) time and
+memory (k days, L = max_lag). The per-pair path (a convolution and three dot
+products) then scores only the pairs whose interval reaches the lowest upper
+bound, so the result is the exhaustive per-pair search's, bit for bit.
 """
 from __future__ import annotations
 
@@ -41,36 +46,137 @@ def closed_form_ifr(shifted, d) -> float:
     return float(ip @ dv) / denom
 
 
+def _score(iv: np.ndarray, dv: np.ndarray, a: int, b: int) -> FitResult | None:
+    """The per-pair path: U(a, b)'s fit, or None when its shift is zero."""
+    # shift_expectation(iv, ...) without re-checking iv for every pair
+    ip = np.convolve(iv, LagDistribution(a, b).pmf_vector())[: len(iv)]
+    denom = float(ip @ ip)
+    if denom == 0.0:
+        return None
+    r = float(ip @ dv) / denom
+    resid = r * ip - dv
+    return FitResult(lag_a=a, lag_b=b, ifr=r, error=float(resid @ resid))
+
+
+def _surfaces(iv: np.ndarray, dv: np.ndarray, n: int):
+    """Suffix sums over the lags l, l' < n of x_l = sum_j d[j] i[j-l] and of
+    the lag Gram G[l, l'] = sum_j i[j-l] i[j-l'] (days j < k).
+
+    Returns XR[a] = sum_{l >= a} x_l and the summed-area table, flattened,
+    R[a * (n+1) + a'] = sum_{l >= a, l' >= a'} G[l, l'], zero-padded at
+    index n. Summing from the long lags keeps a block's rounding relative to
+    the Gram entries of the lags at and after it, which are the smaller ones.
+    """
+    k = len(iv)
+
+    def later(x):
+        """later(x)[t, j] = x[j + t], zero past the end, as a strided view
+        (sliding_window_view goes through __array_interface__, which left
+        about 1 MiB allocated after some thousand calls)."""
+        return np.ndarray((n, k), buffer=np.concatenate([x, np.zeros(n)]),
+                          strides=(x.itemsize, x.itemsize))
+
+    XR = np.zeros(n + 1)
+    XR[:n] = (later(dv) * iv).sum(axis=1)[::-1].cumsum()[::-1]  # x_l = sum_j d[j+l] i[j]
+    # i[j + t] i[j], summed over j <= m in place: csum[t, m], so that
+    # G[l, l'] = csum[|l - l'|, k - 1 - max(l, l')]
+    csum = later(iv) * iv
+    np.cumsum(csum, axis=1, out=csum)
+    lags = np.arange(n)
+    gram = np.take(csum, abs(lags[:, None] - lags) * k + k - 1
+                   - np.maximum(lags[:, None], lags))
+    R = np.zeros((n + 1, n + 1))
+    R[:n, :n] = gram[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
+    return XR, R.ravel()
+
+
+def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
+    """Pairs (a, b) in lexicographic order and bounds lo <= m <= hi on the
+    error m the per-pair path computes for each.
+
+    The pairs are a <= b <= max_lag with a <= k-1-f, f the first day with
+    non-zero infections: a larger a shifts every infection past the window,
+    which the per-pair path skips. A pair whose surface value may have
+    under- or overflowed gets lo = -inf, hi = inf.
+    """
+    k = len(iv)
+    top = min(max_lag, k - 1)  # lags past k-1 land nothing inside the window
+    n = top + 1
+    last_a = min(top, k - 1 - int(np.flatnonzero(iv)[0]))
+    a, b = np.nonzero(np.arange(max_lag + 1) >= np.arange(last_a + 1)[:, None])
+    e = np.minimum(b, top) + 1
+    corners = (a * (n + 1) + a, a * (n + 1) + e, e * (n + 1) + a, e * (n + 1) + e)
+
+    def blocks(XR, R):
+        """Per pair: the block sums of x and of the Gram matrix."""
+        aa, ae, ea, ee = (np.take(R, c) for c in corners)
+        return np.take(XR, a) - np.take(XR, e), aa - ae - ea + ee
+
+    with np.errstate(all="ignore"):
+        XR, R = _surfaces(iv, dv, n)
+        num, den = blocks(XR, R)
+        # the same sums over |i| and |d| bound every rounding error below
+        if np.all(iv >= 0) and np.all(dv >= 0):
+            XRa, Ra, num_abs, den_abs = XR, R, num, den
+        else:
+            XRa, Ra = _surfaces(abs(iv), abs(dv), n)
+            num_abs, den_abs = blocks(XRa, Ra)
+        dd = float(np.sum(dv * dv))
+        # g: the relative rounding of every sum here and in the per-pair path,
+        # 8 times over; tiny: products that fall below the normal range
+        g = 8 * 2.0**-53 * (k + 2 * n + 10)
+        tiny = 8 * (k + 2 * n + 10) * 2.0**-1022
+        # the exact minimum dd - num^2 / den, with num and den known to within
+        # err_num and err_den, lies in [dd (1-g) - q_hi, dd (1+g) - q_lo]
+        err_num = g * np.take(XRa, a) + tiny
+        err_den = g * np.take(Ra, corners[0])
+        den_lo = den - err_den
+        q_hi = (abs(num) + err_num) ** 2 / den_lo
+        q_lo = np.maximum(abs(num) - err_num, 0.0) ** 2 / (den + err_den)
+        # the per-pair path's own rounding, of its residual sum, its shifted
+        # series and its scaling; rho > 1 only where infections of both signs
+        # cancel
+        rho = (den_abs + err_den) / den_lo
+        slack = (g * dd * (2 + 4 * np.sqrt(rho))
+                 + g * g * ((num_abs + err_num) ** 2 / den_lo + dd) + tiny)
+        lo = dd * (1 - g) - q_hi - slack
+        hi = dd * (1 + g) - q_lo + slack
+        # the per-pair path's squared norm is (b-a+1)^2 times smaller than
+        # den: this far from underflow, it comes out non-zero
+        safe = ((den_lo > (max_lag + 1) ** 2 * 2.0**-900)
+                & np.isfinite(lo) & np.isfinite(hi))
+    return a, b, np.where(safe, lo, -np.inf), np.where(safe, hi, np.inf)
+
+
 def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
-    """Exhaustive search over Uniform(a, b) lags, a <= b <= max_lag.
+    """Least-squares Uniform(a, b) lag and scaling over a <= b <= max_lag.
 
     For each pair the scaling is the closed-form minimizer and the error is
     the squared distance of the scaled truncated shift to d. Ties are broken
-    by strict improvement only, so the first pair visited in lexicographic
-    (a, b) order wins. Pairs whose shift is identically zero inside the
-    window (all mass pushed past the end) are skipped.
+    by strict improvement only, so the first pair in lexicographic (a, b)
+    order wins. Pairs whose shift is identically zero inside the window (all
+    mass pushed past the end) are skipped.
+
+    The search filters, then re-scores. _error_bounds brackets the error of
+    every pair in O(k L + L^2) time and memory (k days, L = max_lag). Only
+    the pairs whose interval reaches the lowest upper bound, usually one,
+    are scored by the per-pair path, in lexicographic order with strict
+    improvement, at O(k L) each. Every other pair is worse than one of
+    them, so the winner, its IFR and its error are the ones the per-pair
+    path gives when it scores all pairs.
     """
     iv, dv = as_pair(i, d)
-    k = len(iv)
     if not np.any(iv > 0):
         raise ZeroInfectionSeries("infection series has no positive entry")
 
+    a, b, lo, hi = _error_bounds(iv, dv, config.max_lag)
     best: FitResult | None = None
-    for a in range(config.max_lag + 1):
-        for b in range(a, config.max_lag + 1):
-            # shift_expectation(iv, ...) without re-checking iv for every pair
-            ip = np.convolve(iv, LagDistribution(a, b).pmf_vector())[:k]
-            denom = float(ip @ ip)
-            if denom == 0.0:
-                continue
-            r = float(ip @ dv) / denom
-            resid = r * ip - dv
-            m = float(resid @ resid)
-            if best is None or m < best.error:
-                best = FitResult(lag_a=a, lag_b=b, ifr=r, error=m)
+    for p in np.flatnonzero(lo <= hi.min()):
+        fit = _score(iv, dv, int(a[p]), int(b[p]))
+        if fit is not None and (best is None or fit.error < best.error):
+            best = fit
     if best is None:
         raise ZeroShiftedSeries(
             "every lag pair leaves the shifted series identically zero"
         )
     return best
-

@@ -1,6 +1,7 @@
 import ast
 import datetime as dt
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -165,6 +166,38 @@ def test_estimate_infections_csv(workspace):
     assert float(first[4]) >= float(first[2])  # infections dominate cases
 
 
+def test_doubled_counts_scale_outputs_exactly(workspace, tmp_path):
+    # cases, deaths and the anchor count doubled, tests unchanged: doubling
+    # is exact, so m, lag pairs, IFRs and warnings stay equal, infections and
+    # candidate deaths double and window errors quadruple
+    root, _, config_path = workspace
+    rows = (root / "sim/dataset.csv").read_text().splitlines()
+    cols = rows[0].split(",")
+    doubled = [rows[0]]
+    for row in rows[1:]:
+        cells = row.split(",")
+        for name in ("cases", "deaths"):
+            cells[cols.index(name)] = str(2 * int(cells[cols.index(name)]))
+        doubled.append(",".join(cells))
+    (tmp_path / "doubled.csv").write_text("\n".join(doubled) + "\n")
+    cfg = json.loads(config_path.read_text())
+    cfg["dataset"]["path"] = str(tmp_path / "doubled.csv")
+    cfg["anchor"]["count"] *= 2
+    cfg["output_dir"] = str(tmp_path / "out")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["fit-intervals", "--config", str(config_path)]) == 0
+    assert main(["fit-intervals", "--config", str(tmp_path / "cfg.json")]) == 0
+    base = json.loads((root / "out/report.json").read_text())
+    report = json.loads((tmp_path / "out/report.json").read_text())
+
+    assert report["calibration"]["m"] == base["calibration"]["m"]
+    for name in ("infections", "candidate_deaths"):
+        assert report["series"][name] == [2 * v for v in base["series"][name]]
+    assert len(report["windows"]) == len(base["windows"])
+    for window, base_window in zip(report["windows"], base["windows"]):
+        assert window == {**base_window, "error": 4 * base_window["error"]}
+
+
 def _config_file(workspace, tmp_path, **changes) -> str:
     """The workspace config, changed at the top level, writing to tmp_path/out."""
     root, _, config_path = workspace
@@ -258,6 +291,12 @@ BAD_CONFIGS = {
     "repair_not_object": lambda cfg: _dataset_with(cfg, repair=[1]),
     "dataset_not_object": lambda cfg: {**cfg, "dataset": 5},
     "max_lag_negative": lambda cfg: {**cfg, "max_lag": -1},
+    "max_lag_fraction": lambda cfg: {**cfg, "max_lag": 8.7},
+    "max_lag_bool": lambda cfg: {**cfg, "max_lag": True},
+    "width_fraction": lambda cfg: {**cfg, "intervals": {"width": 25.9}},
+    "min_trailing_string": lambda cfg: {**cfg, "intervals": {"min_trailing": "10"}},
+    "population_fraction": lambda cfg: {**cfg, "population": 1e7 + 0.5},
+    "population_float": lambda cfg: {**cfg, "population": 1e7},
     "population_infinite": lambda cfg: {**cfg, "population": float("inf")},
 }
 
@@ -455,6 +494,22 @@ def test_module_entry_point(workspace):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_closed_stdout_exits_0_without_traceback(workspace, tmp_path):
+    # as in `ifrlag fit-intervals ... | head -1` once head has left: the
+    # summary goes to a pipe nobody reads, after every artifact is published
+    cfg = _config_file(workspace, tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ifrlag", "fit-intervals", "--config", cfg],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads((tmp_path / "out/report.json").read_text())["windows"]
 
 
 def test_cli_import_skips_network_and_mail_modules():

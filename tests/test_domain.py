@@ -163,6 +163,7 @@ BAD_INPUTS = {
     "fit_max_lag": (lambda: FitConfig(-1), DomainError),
     "interval_width": (lambda: IntervalConfig(width=1), DomainError),
     "fit_max_lag_not_int": (lambda: FitConfig(max_lag=2.5), DomainError),
+    "fit_max_lag_bool": (lambda: FitConfig(max_lag=True), DomainError),
     "interval_width_not_int": (lambda: IntervalConfig(width=5.5), DomainError),
     "interval_min_trailing_not_int": (lambda: IntervalConfig(min_trailing=2.5),
                                       DomainError),

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bell
-from ifrlag.domain import error_metric
-from ifrlag.errors import LengthMismatch, ZeroInfectionSeries, ZeroShiftedSeries
+from ifrlag.domain import FitResult, as_pair, error_metric
+from ifrlag.errors import (
+    FitError,
+    LengthMismatch,
+    ZeroInfectionSeries,
+    ZeroShiftedSeries,
+)
 from ifrlag.fit import FitConfig, best_fit, closed_form_ifr
 from ifrlag.lagmodel import LagDistribution, shift_expectation
 
@@ -129,3 +134,87 @@ def test_mesh_search_oracle_small():
         errors = ((mesh[:, None] * shifted[None, :] - d[None, :]) ** 2).sum(axis=1)
         r_mesh = mesh[int(np.argmin(errors))]
         assert abs(closed_form_ifr(shifted, d) - r_mesh) <= step
+
+
+def loop_best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
+    """The oracle: score every pair with the per-pair path, in lexicographic
+    order, keeping strict improvements (best_fit before its filter)."""
+    iv, dv = as_pair(i, d)
+    k = len(iv)
+    if not np.any(iv > 0):
+        raise ZeroInfectionSeries("infection series has no positive entry")
+    best = None
+    for a in range(config.max_lag + 1):
+        for b in range(a, config.max_lag + 1):
+            ip = np.convolve(iv, LagDistribution(a, b).pmf_vector())[:k]
+            denom = float(ip @ ip)
+            if denom == 0.0:
+                continue
+            r = float(ip @ dv) / denom
+            resid = r * ip - dv
+            m = float(resid @ resid)
+            if best is None or m < best.error:
+                best = FitResult(lag_a=a, lag_b=b, ifr=r, error=m)
+    if best is None:
+        raise ZeroShiftedSeries(
+            "every lag pair leaves the shifted series identically zero"
+        )
+    return best
+
+
+def _outcome(search, i, d, config):
+    try:
+        return search(i, d, config)
+    except FitError as exc:
+        return type(exc)
+
+
+@st.composite
+def fit_cases(draw):
+    """Short windows (max_lag may reach past k) and infections from 1e-3 to
+    1e6 after a lead of zero or 1e-3 days, which brings pairs to near-ties,
+    some of them negated (signed infections cancel inside a lag block);
+    deaths planted at a pair, integer counts (exact ties between pairs),
+    signed (negative adjusted deaths) or none at all."""
+    k = draw(st.integers(1, 30))
+    max_lag = draw(st.integers(0, 35))
+    lead = draw(st.integers(0, k - 1))
+    i = np.array(
+        [draw(st.sampled_from([0.0, 1e-3]))] * lead
+        + draw(st.lists(st.floats(1e-3, 1e6), min_size=k - lead, max_size=k - lead))
+    )
+    if draw(st.booleans()):
+        i *= draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["planted", "integers", "signed", "zero"]))
+    if kind == "planted":
+        a = draw(st.integers(0, max_lag))
+        b = draw(st.integers(a, max_lag))
+        d = draw(st.floats(1e-4, 1.0)) * shift_expectation(i, LagDistribution(a, b))
+    elif kind == "integers":
+        counts = draw(st.lists(st.integers(-2, 5), min_size=k, max_size=k))
+        d = draw(st.floats(1e-3, 1e3)) * np.array(counts, dtype=float)
+    elif kind == "signed":
+        d = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=k, max_size=k)))
+    else:
+        d = np.zeros(k)
+    return i, d, FitConfig(max_lag=max_lag)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fit_cases())
+# every shifted norm underflows to zero
+@example((np.array([1e-170, 0.0, 0.0]), np.ones(3), FitConfig(max_lag=3)))
+# no deaths: every pair ties at error 0
+@example((np.array([0.0, 0.0, 10.0]), np.zeros(3), FitConfig(max_lag=5)))
+# k = 2 with max_lag >= k
+@example((np.array([1.0, 1.0]), np.array([1.0, 0.0]), FitConfig(max_lag=4)))
+# two near-exact fits, closer than the surface's rounding
+@example((np.array([1e-3, 34.0]), np.array([1e-3, 34.0]), FitConfig(max_lag=1)))
+# the same near-tie with negative deaths (a negative IFR)
+@example((np.array([1e-3, 34.0]), np.array([-1e-3, -34.0]), FitConfig(max_lag=1)))
+# infections of both signs: lag blocks cancel, so |i| bounds the rounding
+@example((np.array([1.0, -0.999, 1.0, -0.999, 1.0]), np.array([1.0, 0.0, 1.0, 0.0, 1.0]),
+          FitConfig(max_lag=4)))
+def test_best_fit_equals_per_pair_search(case):
+    i, d, config = case
+    assert _outcome(best_fit, i, d, config) == _outcome(loop_best_fit, i, d, config)

@@ -1,6 +1,7 @@
 """The runnable scripts are shipped artifacts; keep them working."""
 import csv
 import datetime as dt
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -90,3 +91,31 @@ def test_reproduction_script_skips_missing_countries():
     proc = run_script("reproduce_published.py", "--countries", "denmark")
     assert proc.returncode == 0, proc.stderr
     assert "skipping denmark" in proc.stdout
+
+
+def test_bench_pairs_summary():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    metrics = [{"name": "op_s_p50", "better": "lower", "bound": 0.24},
+               {"name": "ops_per_s", "better": "higher", "bound": 0.24}]
+    pairs = [
+        {"parent": {"op_s_p50": 0.10, "ops_per_s": 10.0},
+         "change": {"op_s_p50": 0.02, "ops_per_s": 6.0}},
+        {"parent": {"op_s_p50": 0.12, "ops_per_s": 8.0},
+         "change": {"op_s_p50": 0.03, "ops_per_s": 5.0}},
+    ]
+    out = bench.summarize(pairs, metrics)
+
+    p50 = out["op_s_p50"]
+    assert p50["parent"] == {"values": [0.10, 0.12], "median": pytest.approx(0.11),
+                             "q1": pytest.approx(0.105), "q3": pytest.approx(0.115)}
+    assert p50["change"]["median"] == pytest.approx(0.025)
+    assert (p50["wins"], p50["win_frac"], p50["gain"]) == (2, 1.0, True)
+    assert p50["median_ratio"] == pytest.approx(0.025 / 0.11)
+    assert p50["within_bound"]
+    # higher is better: the change loses both pairs, and its median (5.5)
+    # is 39% below the parent's (9.0), past the 0.24 bound
+    rate = out["ops_per_s"]
+    assert (rate["wins"], rate["win_frac"], rate["gain"]) == (0, 0.0, False)
+    assert not rate["within_bound"]
