@@ -1,11 +1,12 @@
-"""Command-line surface: calibrate, fit, fit-intervals, estimate-infections,
-simulate.
+"""Command-line surface: fit-intervals and simulate.
 
-Every command takes a JSON run configuration (paths inside it resolve
-relative to the config file), builds all its artifacts in memory and only
-then writes them into the configured output directory, so a run that fails
-before writing leaves that directory as it was. Outputs are deterministic
-for identical inputs, config and seed.
+`fit-intervals` is the whole pipeline: it takes a JSON run configuration
+(paths inside it resolve relative to the config file), calibrates m against
+the antibody anchor, estimates infections and fits every window. `simulate`
+writes a synthetic dataset from a scenario JSON. Both build all their
+artifacts in memory and only then write them into the output directory, so
+a run that fails before writing leaves that directory as it was. Outputs are
+deterministic for identical inputs, config and seed.
 
 Exit codes: 0 success (warnings allowed), 2 input, validation or file-system
 error, 3 infeasible calibration, 4 fit failure.
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__
 from .domain import Dataset, anchor_from_study, require_int
 from .errors import CalibrationError, ConfigError, DataError, DomainError, FitError
-from .fit import FitConfig, best_fit
+from .fit import FitConfig
 from .infection import calibrate_m, estimate_infections
 from .ingest import ColumnMapping, RepairPolicy, load_dataset, write_dataset_csv
 from .intervals import IntervalConfig, IntervalReport, fit_intervals
@@ -53,7 +54,7 @@ class RunConfig:
     """A run configuration.
 
     settings is the config JSON with every default filled in and each value
-    normalised; the JSON artifacts echo it verbatim. Paths resolve relative
+    normalised; report.json echoes it verbatim. Paths resolve relative
     to the config file, but the echo keeps the dataset path as written: the
     dataset's sha256 identifies the data.
     """
@@ -120,41 +121,6 @@ class RunConfig:
         return self.settings["label"]
 
 
-def _prepare(config: RunConfig, m: float | None = None):
-    """The front of every config command: load, log repairs, calibrate, estimate.
-
-    Calibrates m against the antibody anchor unless m is given, and estimates
-    infections at m. Returns the dataset, the calibration (None when m is
-    given), the infections, the head every JSON artifact starts from
-    (config, provenance and, when calibrated, calibration) and the files
-    built so far: the repair log.
-    """
-    s = config.settings
-    columns, anchor, rng = s["dataset"]["columns"], s["anchor"], s["date_range"]
-    raw = config.csv_path.read_bytes()
-    dataset, repairs = load_dataset(
-        raw,
-        ColumnMapping(*(columns[k] for k in COLUMNS)),
-        RepairPolicy(**s["dataset"]["repair"]),
-        s["population"],
-        (dt.date.fromisoformat(rng["start"]), dt.date.fromisoformat(rng["end"])),
-        label=s["label"],
-    )
-    files = {"repairs.jsonl": "".join(e.to_json() + "\n" for e in repairs)}
-    head = {"config": s,
-            "provenance": {"tool": "ifrlag", "version": __version__,
-                           "dataset_sha256": hashlib.sha256(raw).hexdigest()}}
-    calibration = None
-    if m is None:
-        calibration = calibrate_m(dataset, anchor_from_study(
-            dataset, dt.date.fromisoformat(anchor["date"]),
-            fraction=anchor["fraction"], count=anchor["count"]))
-        m = calibration.m
-        head["calibration"] = {"m": calibration.m,
-                               "achieved_sum": calibration.achieved_sum}
-    return dataset, calibration, estimate_infections(dataset, m), head, files
-
-
 def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -184,38 +150,6 @@ def _publish(out: Path, files: dict[str, str]) -> None:
             (out / f".{name}.tmp").unlink(missing_ok=True)
 
 
-def cmd_calibrate(config: RunConfig) -> None:
-    _, result, _, head, files = _prepare(config)
-    head["calibration"] |= {"anchor_day": result.anchor.day_index,
-                            "anchor_count": result.anchor.infected_count,
-                            "iterations": result.iterations}
-    files["calibration.json"] = _json(head)
-    _publish(config.output_dir, files)
-    print(f"{config.label}: m = {result.m:.4f} "
-          f"(anchor sum {result.achieved_sum:,.0f} at day {result.anchor.day_index},"
-          f" {result.iterations} iterations)")
-
-
-def cmd_fit(config: RunConfig) -> None:
-    fit_config = FitConfig(max_lag=config.settings["max_lag"])
-    dataset, _, infections, head, files = _prepare(config)
-    fit = best_fit(infections, dataset.deaths, fit_config)
-    files["fit.json"] = _json({
-        **head,
-        "fit": {
-            "lag_a": fit.lag_a,
-            "lag_b": fit.lag_b,
-            "mean_lag": fit.mean_lag,
-            "ifr": fit.ifr,
-            "error": fit.error,
-        },
-    })
-    _publish(config.output_dir, files)
-    print(f"{config.label}: lag Uniform({fit.lag_a},{fit.lag_b}) "
-          f"mean {fit.mean_lag:.1f} d, IFR {fit.ifr * 100:.3f}%, "
-          f"error {fit.error:,.1f}")
-
-
 def _charts(dataset: Dataset, infections, report: IntervalReport) -> dict[str, str]:
     boundaries = tuple(w.end_day for w in report.windows[:-1])
     return {
@@ -242,12 +176,30 @@ def _charts(dataset: Dataset, infections, report: IntervalReport) -> dict[str, s
 
 def cmd_fit_intervals(config: RunConfig) -> None:
     s = config.settings
+    columns, anchor, rng = s["dataset"]["columns"], s["anchor"], s["date_range"]
     interval_config = IntervalConfig(**s["intervals"], max_lag=s["max_lag"])
-    dataset, calibration, infections, head, files = _prepare(config)
+    raw = config.csv_path.read_bytes()
+    dataset, repairs = load_dataset(
+        raw,
+        ColumnMapping(*(columns[k] for k in COLUMNS)),
+        RepairPolicy(**s["dataset"]["repair"]),
+        s["population"],
+        (dt.date.fromisoformat(rng["start"]), dt.date.fromisoformat(rng["end"])),
+        label=s["label"],
+    )
+    calibration = calibrate_m(dataset, anchor_from_study(
+        dataset, dt.date.fromisoformat(anchor["date"]),
+        fraction=anchor["fraction"], count=anchor["count"]))
+    infections = estimate_infections(dataset, calibration.m)
     report = fit_intervals(infections, dataset.deaths, interval_config)
     rows = report.to_rows()
+    files = {"repairs.jsonl": "".join(e.to_json() + "\n" for e in repairs)}
     files["report.json"] = _json({
-        **head,
+        "config": s,
+        "provenance": {"tool": "ifrlag", "version": __version__,
+                       "dataset_sha256": hashlib.sha256(raw).hexdigest()},
+        "calibration": {"m": calibration.m,
+                        "achieved_sum": calibration.achieved_sum},
         "windows": rows,
         "series": {
             "cases": dataset.cases.values.tolist(),
@@ -267,7 +219,9 @@ def cmd_fit_intervals(config: RunConfig) -> None:
     files |= _charts(dataset, infections, report)
     _publish(config.output_dir, files)
 
-    print(f"{config.label}: m = {calibration.m:.4f}")
+    print(f"{config.label}: m = {calibration.m:.4f} "
+          f"(anchor sum {calibration.achieved_sum:,.0f} at day "
+          f"{calibration.anchor.day_index}, {calibration.iterations} iterations)")
     print(f"{'days':>12}  {'lag':>10}  {'IFR':>8}  {'error':>12}  warnings")
     for w in report.windows:
         days = f"{w.start_day}..{w.end_day}"
@@ -278,27 +232,11 @@ def cmd_fit_intervals(config: RunConfig) -> None:
         print(f"note: {warning}")
 
 
-def cmd_estimate_infections(config: RunConfig, m: float) -> None:
-    dataset, _, infections, _, files = _prepare(config, m)
-    files["infections.csv"] = _csv([
-        ["day", "date", "cases", "tests", "infections"],
-        *([j + 1, dataset.cases.date_of(j + 1).isoformat(),
-           f"{dataset.cases.values[j]:.0f}",
-           f"{dataset.tests.values[j]:.0f}",
-           f"{infections.values[j]:.6f}"]
-          for j in range(len(dataset))),
-    ])
-    _publish(config.output_dir, files)
-    total_c, total_i = dataset.cases.values.sum(), infections.values.sum()
-    print(f"{config.label}: m = {m:g}, total cases {total_c:,.0f}, "
-          f"estimated infections {total_i:,.0f} (x{total_i / max(total_c, 1):.2f})")
-
-
 def cmd_simulate(scenario_path, output_dir, seed: int, mode: str) -> None:
     try:
         scenario = Scenario.from_json(scenario_path)
-    except (OSError, AttributeError, KeyError, OverflowError, TypeError,
-            ValueError) as exc:
+    except (OSError, AttributeError, DomainError, KeyError, OverflowError,
+            TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read scenario {scenario_path}: {exc}") from exc
     dataset = generate_observables(scenario, mode=mode, seed=seed)
     out = Path(output_dir)
@@ -325,17 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("calibrate", "calibrate the case-ascertainment exponent m"),
-        ("fit", "whole-period lag and IFR fit"),
-        ("fit-intervals", "windowed lag and IFR fit with residual carryover"),
-        ("estimate-infections", "emit the infection estimates at a fixed m"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="run configuration JSON")
-        if name == "estimate-infections":
-            p.add_argument("--m", type=float, required=True,
-                           help="ascertainment exponent (> 1)")
+    p = sub.add_parser("fit-intervals", help="calibrate m, estimate infections "
+                       "and fit lag and IFR per window")
+    p.add_argument("--config", required=True, help="run configuration JSON")
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.add_argument("--scenario", required=True, help="scenario JSON")
@@ -351,15 +281,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             cmd_simulate(args.scenario, args.output_dir, args.seed, args.mode)
         else:
-            config = RunConfig.from_json(args.config)
-            if args.command == "fit-intervals":
-                cmd_fit_intervals(config)
-            elif args.command == "calibrate":
-                cmd_calibrate(config)
-            elif args.command == "fit":
-                cmd_fit(config)
-            elif args.command == "estimate-infections":
-                cmd_estimate_infections(config, args.m)
+            cmd_fit_intervals(RunConfig.from_json(args.config))
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return EXIT_OK
     except BrokenPipeError:

@@ -82,11 +82,6 @@ class DailySeries:
             raise DomainError(f"{day} is past the end of the series")
         return idx
 
-    def date_of(self, day_index: int) -> dt.date:
-        if not 1 <= day_index <= len(self):
-            raise DomainError(f"day index {day_index} outside [1, {len(self)}]")
-        return self.origin_day + dt.timedelta(days=day_index - 1)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -173,10 +168,6 @@ class FitResult:
     lag_b: int
     ifr: float
     error: float
-
-    @property
-    def mean_lag(self) -> float:
-        return (self.lag_a + self.lag_b) / 2.0
 
 
 def error_metric(x, y) -> float:

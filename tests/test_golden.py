@@ -1,9 +1,8 @@
-"""Byte-for-byte golden outputs of every CLI command on the demo scenario.
+"""Byte-for-byte golden outputs of both CLI commands on the demo scenario.
 
 For each death mode, `simulate` runs on configs/scenario_two_wave.json
-(seed 7, as in scripts/demo_synthetic.py), then `calibrate`, `fit`,
-`fit-intervals` and `estimate-infections` run on the simulated CSV with the
-demo's run config. Every artifact must match tests/golden/<mode>/ exactly,
+(seed 7, as in scripts/demo_synthetic.py), then `fit-intervals` runs on the
+simulated CSV with the demo's run config. Every artifact must match tests/golden/<mode>/ exactly,
 except that JSON artifacts are compared without `config.dataset.path`, so
 the goldens do not depend on where the config is written.
 
@@ -36,7 +35,7 @@ def _without_dataset_path(raw: bytes) -> bytes:
 
 
 def run_commands(mode: str, root: Path) -> dict[str, bytes]:
-    """Run all five commands under root; map artifact name to its bytes."""
+    """Run both commands under root; map artifact name to its bytes."""
     sim, run = root / "sim", root / "run"
     assert main(["simulate", "--scenario", str(SCENARIO), "--seed", str(SEED),
                  "--mode", mode, "--output-dir", str(sim)]) == 0
@@ -62,9 +61,7 @@ def run_commands(mode: str, root: Path) -> dict[str, bytes]:
     }
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
-    for command, *extra in (["calibrate"], ["fit"], ["fit-intervals"],
-                            ["estimate-infections", "--m", str(scenario.m_true)]):
-        assert main([command, "--config", str(config_path), *extra]) == 0
+    assert main(["fit-intervals", "--config", str(config_path)]) == 0
 
     artifacts = {}
     for directory in (sim, run):

@@ -212,6 +212,16 @@ def test_zero_overflow_windows_match_independent_fits():
             alone.lag_a, alone.lag_b, alone.ifr, alone.error)
 
 
+
+@pytest.mark.parametrize("k, max_lag", [(30, 0), (40, 39), (100, 12), (250, 50)])
+def test_whole_period_window_is_best_fit(k, max_lag):
+    # a window as wide as the series is the whole-period fit, bit for bit
+    i = scenario_infections(k)
+    sc = make_scenario(i, regimes_for(k, k, (0.004,), LagDistribution(3, 9)))
+    d = generate_deaths(sc, "sampled", seed=k).values
+    (window,) = fit_intervals(i, d, IntervalConfig(width=k, max_lag=max_lag)).windows
+    assert window.fit == best_fit(i, d, FitConfig(max_lag))
+
 def test_first_window_is_flagged():
     i = scenario_infections()
     d = 0.004 * shift_expectation(i, LagDistribution(3, 7))

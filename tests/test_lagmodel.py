@@ -39,6 +39,8 @@ def test_invalid_lags_rejected():
         LagDistribution(-1, 3)
     with pytest.raises(DomainError):
         LagDistribution(5, 4)
+    with pytest.raises(DomainError, match="lag.a must be an integer"):
+        LagDistribution(True, 1)
 
 
 def test_zero_lag_is_identity():

@@ -16,10 +16,7 @@ DEFAULTED_PARAMETERS = 31
 # option strings by subcommand ("ifrlag" is the top level), without -h/--help
 CLI_OPTIONS = {
     "ifrlag": ["--version"],
-    "calibrate": ["--config"],
-    "fit": ["--config"],
     "fit-intervals": ["--config"],
-    "estimate-infections": ["--config", "--m"],
     "simulate": ["--mode", "--output-dir", "--scenario", "--seed"],
 }
 
