@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .domain import Dataset, anchor_from_study, require_int
+from .domain import Dataset, anchor_from_study, require_number
 from .errors import CalibrationError, ConfigError, DataError, DomainError, FitError
 from .fit import FitConfig
 from .infection import calibrate_m, estimate_infections
@@ -43,10 +43,21 @@ EXIT_CALIBRATION = 3
 EXIT_FIT = 4
 
 COLUMNS = ("date", "cases", "deaths", "tests")
+# the top-level keys of a run config; "notes" is free text for the reader
+KEYS = ("label", "notes", "dataset", "population", "anchor", "date_range",
+        "intervals", "max_lag", "output_dir")
 
 
 def _iso_date(value) -> str:
     return dt.date.fromisoformat(value).isoformat()
+
+
+def _known_keys(section: dict, name: str, keys) -> dict:
+    """section itself, unless it holds a key outside keys (ConfigError)."""
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    return section
 
 
 @dataclass(frozen=True)
@@ -56,12 +67,15 @@ class RunConfig:
     settings is the config JSON with every default filled in and each value
     normalised; report.json echoes it verbatim. Paths resolve relative
     to the config file, but the echo keeps the dataset path as written: the
-    dataset's sha256 identifies the data.
+    dataset's sha256 identifies the data. Each value is checked by the type
+    that owns its rule, when the run builds it.
     """
 
     settings: dict
     csv_path: Path
     output_dir: Path
+    repair: RepairPolicy
+    intervals: IntervalConfig
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -72,53 +86,38 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         base = path.parent
         try:
+            _known_keys(data, "config", KEYS)
             ds, anchor, rng = data["dataset"], data["anchor"], data["date_range"]
-            columns, repair = ds.get("columns", {}), ds.get("repair", {})
-            intervals = data.get("intervals", {})
+            _known_keys(ds, "dataset", ("path", "columns", "repair"))
+            _known_keys(anchor, "anchor", ("date", "fraction", "count"))
+            _known_keys(rng, "date_range", ("start", "end"))
+            columns = _known_keys(ds.get("columns", {}), "dataset.columns", COLUMNS)
+            require_number(**{f"anchor.{k}": v for k, v in anchor.items() if k != "date"})
+            repair = RepairPolicy(**ds.get("repair", {}))
+            intervals = IntervalConfig(**data.get("intervals", {}),
+                                       max_lag=data.get("max_lag", FitConfig().max_lag))
             settings = {
                 "label": data.get("label", path.stem),
                 "dataset": {
                     "path": ds["path"],
                     "columns": {k: columns.get(k, k) for k in COLUMNS},
-                    "repair": {k: repair.get(k, v) for k, v
-                               in dataclasses.asdict(RepairPolicy()).items()},
+                    "repair": dataclasses.asdict(repair),
                 },
                 "population": data["population"],
-                "anchor": {
-                    "date": _iso_date(anchor["date"]),
-                    "fraction": (
-                        float(anchor["fraction"]) if "fraction" in anchor else None
-                    ),
-                    "count": float(anchor["count"]) if "count" in anchor else None,
-                },
+                "anchor": {"date": _iso_date(anchor["date"]),
+                           **{k: float(anchor[k]) if k in anchor else None
+                              for k in ("fraction", "count")}},
                 "date_range": {"start": _iso_date(rng["start"]),
                                "end": _iso_date(rng["end"])},
-                "intervals": {k: intervals.get(k, getattr(IntervalConfig(), k))
-                              for k in ("width", "min_trailing")},
-                "max_lag": data.get("max_lag", FitConfig().max_lag),
+                "intervals": {"width": intervals.width,
+                              "min_trailing": intervals.min_trailing},
+                "max_lag": intervals.max_lag,
             }
-            # JSON integers only: no fraction, float or true/false
-            require_int(population=settings["population"],
-                        max_lag=settings["max_lag"],
-                        **{f"intervals.{k}": v for k, v in settings["intervals"].items()})
-            cfg = cls(settings, (base / ds["path"]).resolve(),
-                      (base / data.get("output_dir", "out")).resolve())
-        except (AttributeError, DomainError, KeyError, OverflowError, TypeError,
-                ValueError) as exc:
+            return cls(settings, (base / ds["path"]).resolve(),
+                       (base / data.get("output_dir", "out")).resolve(),
+                       repair, intervals)
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
-        anchor, rng = settings["anchor"], settings["date_range"]
-        if not rng["start"] <= anchor["date"] <= rng["end"]:  # ISO dates sort as text
-            raise ConfigError(
-                f"anchor date {anchor['date']} outside range "
-                f"[{rng['start']}, {rng['end']}]"
-            )
-        if (anchor["fraction"] is None) == (anchor["count"] is None):
-            raise ConfigError("anchor needs exactly one of fraction or count")
-        return cfg
-
-    @property
-    def label(self) -> str:
-        return self.settings["label"]
 
 
 def _json(payload: dict) -> str:
@@ -177,12 +176,11 @@ def _charts(dataset: Dataset, infections, report: IntervalReport) -> dict[str, s
 def cmd_fit_intervals(config: RunConfig) -> None:
     s = config.settings
     columns, anchor, rng = s["dataset"]["columns"], s["anchor"], s["date_range"]
-    interval_config = IntervalConfig(**s["intervals"], max_lag=s["max_lag"])
     raw = config.csv_path.read_bytes()
     dataset, repairs = load_dataset(
         raw,
         ColumnMapping(*(columns[k] for k in COLUMNS)),
-        RepairPolicy(**s["dataset"]["repair"]),
+        config.repair,
         s["population"],
         (dt.date.fromisoformat(rng["start"]), dt.date.fromisoformat(rng["end"])),
         label=s["label"],
@@ -191,7 +189,7 @@ def cmd_fit_intervals(config: RunConfig) -> None:
         dataset, dt.date.fromisoformat(anchor["date"]),
         fraction=anchor["fraction"], count=anchor["count"]))
     infections = estimate_infections(dataset, calibration.m)
-    report = fit_intervals(infections, dataset.deaths, interval_config)
+    report = fit_intervals(infections, dataset.deaths, config.intervals)
     rows = report.to_rows()
     files = {"repairs.jsonl": "".join(e.to_json() + "\n" for e in repairs)}
     files["report.json"] = _json({
@@ -219,7 +217,7 @@ def cmd_fit_intervals(config: RunConfig) -> None:
     files |= _charts(dataset, infections, report)
     _publish(config.output_dir, files)
 
-    print(f"{config.label}: m = {calibration.m:.4f} "
+    print(f"{s['label']}: m = {calibration.m:.4f} "
           f"(anchor sum {calibration.achieved_sum:,.0f} at day "
           f"{calibration.anchor.day_index}, {calibration.iterations} iterations)")
     print(f"{'days':>12}  {'lag':>10}  {'IFR':>8}  {'error':>12}  warnings")

@@ -10,6 +10,7 @@ CSV/JSON output); internal numpy arrays are 0-based as usual.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,13 @@ def require_int(**fields) -> None:
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def require_number(**fields) -> None:
+    """Raise DomainError unless every named value is an int or a float (not a bool)."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DomainError(f"{name} must be a number, got {value!r}")
 
 
 def as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +97,9 @@ class Dataset:
 
     Construction checks every invariant and raises a structured error naming
     the first violated one and its 1-based day index. Finite, non-negative
-    values are already guaranteed by DailySeries.
+    values are already guaranteed by DailySeries. The population is an
+    integer no larger than 2**53: up to there every integer is an exact
+    float.
     """
 
     cases: DailySeries
@@ -106,8 +116,9 @@ class Dataset:
             )
         if not (c.origin_day == d.origin_day == t.origin_day):
             raise LengthMismatch("series origins differ")
-        if self.population < 1:
-            raise DomainError(f"population {self.population} must be positive")
+        require_int(population=self.population)
+        if not 1 <= self.population <= 2**53:
+            raise DomainError(f"population {self.population} must be in [1, 2**53]")
         over_pop = np.flatnonzero(t.values > self.population)
         if len(over_pop):
             raise PopulationExceeded(
@@ -171,7 +182,14 @@ class FitResult:
 
 
 def error_metric(x, y) -> float:
-    """Sum of squared elementwise differences between two same-length series."""
+    """Sum of squared elementwise differences between two same-length series.
+
+    A sum past the float range raises DomainError.
+    """
     xv, yv = as_pair(x, y)
-    diff = xv - yv
-    return float(diff @ diff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = xv - yv
+        m = float(diff @ diff)
+    if not math.isfinite(m):
+        raise DomainError("squared error overflows the float range")
+    return m

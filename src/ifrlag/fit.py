@@ -6,19 +6,21 @@ r = (i' . d) / ||i'||^2, and its minimum is ||d||^2 - (i' . d)^2 / ||i'||^2.
 The lag pair is the best over every integer a <= b <= max_lag, found by a
 filter and a re-score. The filter reads every pair's minimum, with a bound
 on its rounding, off summed-area tables of lag sums in O(k L + L^2) time and
-memory (k days, L = max_lag). The per-pair path (a convolution and three dot
-products) then scores only the pairs whose interval reaches the lowest upper
-bound, so the result is the exhaustive per-pair search's, bit for bit.
+memory (k days, L = max_lag). The per-pair path, the three owners of the
+formulas (shift_expectation, closed_form_ifr and error_metric), then scores
+only the pairs whose interval reaches the lowest upper bound, so the result
+is the exhaustive per-pair search's, bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FitResult, as_pair, require_int
+from .domain import FitResult, as_pair, error_metric, require_int
 from .errors import DomainError, ZeroInfectionSeries, ZeroShiftedSeries
-from .lagmodel import LagDistribution
+from .lagmodel import LagDistribution, shift_expectation
 
 
 @dataclass(frozen=True)
@@ -37,25 +39,28 @@ def closed_form_ifr(shifted, d) -> float:
     """Unique minimizer r of sum((r * shifted - d)^2).
 
     Unconstrained: the result may be negative or exceed 1 if the data
-    demand it; callers interpret.
+    demand it; callers interpret. A squared norm or a rate past the float
+    range raises DomainError.
     """
     ip, dv = as_pair(shifted, d)
-    denom = float(ip @ ip)
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom, num = float(ip @ ip), float(ip @ dv)
     if denom == 0.0:
         raise ZeroShiftedSeries("shifted series is identically zero")
-    return float(ip @ dv) / denom
+    r = num / denom
+    if not (math.isfinite(denom) and math.isfinite(r)):
+        raise DomainError("least-squares rate overflows the float range")
+    return r
 
 
 def _score(iv: np.ndarray, dv: np.ndarray, a: int, b: int) -> FitResult | None:
     """The per-pair path: U(a, b)'s fit, or None when its shift is zero."""
-    # shift_expectation(iv, ...) without re-checking iv for every pair
-    ip = np.convolve(iv, LagDistribution(a, b).pmf_vector())[: len(iv)]
-    denom = float(ip @ ip)
-    if denom == 0.0:
+    ip = shift_expectation(iv, LagDistribution(a, b))
+    try:
+        r = closed_form_ifr(ip, dv)
+    except ZeroShiftedSeries:
         return None
-    r = float(ip @ dv) / denom
-    resid = r * ip - dv
-    return FitResult(lag_a=a, lag_b=b, ifr=r, error=float(resid @ resid))
+    return FitResult(lag_a=a, lag_b=b, ifr=r, error=error_metric(r * ip, dv))
 
 
 def _surfaces(iv: np.ndarray, dv: np.ndarray, n: int):

@@ -248,7 +248,7 @@ def load_dataset(
         cases=DailySeries(start, cases),
         deaths=DailySeries(start, deaths),
         tests=DailySeries(start, tests),
-        population=int(population),
+        population=population,
         label=label,
     )
     return dataset, log

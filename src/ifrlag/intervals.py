@@ -53,9 +53,7 @@ class IntervalConfig:
         if self.min_trailing < 1:
             raise DomainError("min_trailing must be >= 1")
         if self.max_lag is not None:
-            require_int(max_lag=self.max_lag)
-            if self.max_lag < 0:
-                raise DomainError(f"max_lag must be >= 0, got {self.max_lag}")
+            FitConfig(self.max_lag)
 
     @property
     def effective_max_lag(self) -> int:

@@ -47,8 +47,8 @@ def shift_expectation(i, lag: LagDistribution) -> np.ndarray:
     out[j] = sum_w i[w] * P(L = j - w); mass landing past the last input
     day is dropped.
     """
-    v = as_values(i)
-    return np.convolve(v, lag.pmf_vector())[: len(v)]
+    out = shift_expectation_elongated(i, lag)
+    return out[: len(out) - lag.b]
 
 
 def shift_expectation_elongated(i, lag: LagDistribution) -> np.ndarray:

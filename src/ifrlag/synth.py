@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DailySeries, Dataset, require_int
+from .domain import DailySeries, Dataset, require_int, require_number
 from .errors import DomainError
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
@@ -95,7 +95,9 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         origin = dt.date.fromisoformat(data["origin_day"])
+        require_number(m_true=data["m_true"])
         for r in data["regimes"]:
+            require_number(ifr=r["ifr"])
             kind = r["lag"].get("kind", "uniform")
             if kind != "uniform":
                 raise DomainError(f"unsupported lag kind {kind!r}")

@@ -299,6 +299,19 @@ BAD_CONFIGS = {
     "population_fraction": lambda cfg: {**cfg, "population": 1e7 + 0.5},
     "population_float": lambda cfg: {**cfg, "population": 1e7},
     "population_infinite": lambda cfg: {**cfg, "population": float("inf")},
+    "population_too_large": lambda cfg: {**cfg, "population": 10**400},
+    "intervals_unknown_key": lambda cfg: {**cfg, "intervals": {"widht": 25}},
+    "repair_unknown_key": lambda cfg: _dataset_with(cfg, repair={"gap_fill": "error"}),
+    "top_level_unknown_key": lambda cfg: {**cfg, "max_lags": 10},
+    "dataset_unknown_key": lambda cfg: _dataset_with(cfg, sha256="0"),
+    "columns_unknown_key": lambda cfg: _dataset_with(cfg, columns={"case": "x"}),
+    "anchor_unknown_key": lambda cfg: {**cfg, "anchor": {**cfg["anchor"], "day": 80}},
+    "date_range_unknown_key": lambda cfg: {
+        **cfg, "date_range": {**cfg["date_range"], "stop": "2020-06-08"}},
+    "anchor_count_string": lambda cfg: {
+        **cfg, "anchor": {**cfg["anchor"], "count": str(cfg["anchor"]["count"])}},
+    "anchor_fraction_bool": lambda cfg: {
+        **cfg, "anchor": {"date": cfg["anchor"]["date"], "fraction": True}},
 }
 
 
@@ -336,6 +349,9 @@ BAD_SCENARIOS = {
         sc, {**sc["regimes"][0], "lag": {"a": True, "b": True}}),
     "end_day_fraction": lambda sc: _first_regime_with(
         sc, {**sc["regimes"][0], "end_day": sc["regimes"][0]["end_day"] + 0.5}),
+    "ifr_string": lambda sc: _first_regime_with(
+        sc, {**sc["regimes"][0], "ifr": str(sc["regimes"][0]["ifr"])}),
+    "m_true_string": lambda sc: {**sc, "m_true": str(sc["m_true"])},
 }
 
 
@@ -429,11 +445,27 @@ def test_infeasible_anchor_exits_3(workspace, tmp_path):
     assert main(["fit-intervals", "--config", str(bad)]) == 3
 
 
+def _huge_deaths(cfg):
+    """The config on a copy of its CSV, written beside its output directory,
+    whose deaths are all 10**160: every window's squared error overflows."""
+    rows = Path(cfg["dataset"]["path"]).read_text().splitlines()
+    d_idx = rows[0].split(",").index("deaths")
+    huge = [rows[0]]
+    for row in rows[1:]:
+        cells = row.split(",")
+        cells[d_idx] = str(10**160)
+        huge.append(",".join(cells))
+    path = Path(cfg["output_dir"]).parent / "huge.csv"
+    path.write_text("\n".join(huge) + "\n")
+    return {**cfg, "dataset": {"path": str(path)}}
+
+
 # each maps the good config to a failing run: (config, exit)
 FAILING_RUNS = {
     "fit_intervals_infeasible_anchor": lambda cfg: (
         {**cfg, "anchor": {"date": cfg["anchor"]["date"], "count": 1.0}}, 3),
     "fit_intervals_negative_max_lag": lambda cfg: ({**cfg, "max_lag": -1}, 2),
+    "fit_intervals_overflowing_deaths": lambda cfg: (_huge_deaths(cfg), 2),
 }
 
 

@@ -172,6 +172,20 @@ BAD_INPUTS = {
                                  CasesExceedTests),
     "dataset_population": (lambda: make_dataset(cases=[1], tests=[1], population=0),
                            DomainError),
+    # float(population) is no longer exact past 2**53
+    "dataset_population_too_large": (
+        lambda: make_dataset(cases=[1], tests=[1], population=2**53 + 1), DomainError),
+    "dataset_population_fraction": (
+        lambda: make_dataset(cases=[1], tests=[1], population=1e7 + 0.5), DomainError),
+    # finite input whose sums overflow: no NaN or inf result
+    "best_fit_overflow": (
+        lambda: best_fit([1e160] * 5, [1e160] * 5, FitConfig(3)), DomainError),
+    "closed_form_ifr_overflow": (
+        lambda: closed_form_ifr([1e160] * 5, [1e160] * 5), DomainError),
+    "closed_form_ifr_rate_overflow": (
+        lambda: closed_form_ifr([1e-160], [1e160]), DomainError),
+    "error_metric_overflow": (lambda: error_metric([1e160] * 5, [0.0] * 5),
+                              DomainError),
 }
 
 

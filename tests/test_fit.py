@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ifrlag
 from conftest import bell
 from ifrlag.domain import FitResult, as_pair, error_metric
 from ifrlag.errors import (
@@ -138,7 +142,10 @@ def test_mesh_search_oracle_small():
 
 def loop_best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
     """The oracle: score every pair with the per-pair path, in lexicographic
-    order, keeping strict improvements (best_fit before its filter)."""
+    order, keeping strict improvements (best_fit before its filter).
+
+    It covers inputs whose sums do not overflow: where they do, best_fit
+    raises DomainError and this loop returns NaN or inf."""
     iv, dv = as_pair(i, d)
     k = len(iv)
     if not np.any(iv > 0):
@@ -218,3 +225,27 @@ def fit_cases(draw):
 def test_best_fit_equals_per_pair_search(case):
     i, d, config = case
     assert _outcome(best_fit, i, d, config) == _outcome(loop_best_fit, i, d, config)
+
+
+# the formulas whose rounding follows the BLAS kernel, and the one function
+# each is written in: every other caller goes through it
+FORMULA_OWNERS = {"np.convolve": {"shift_expectation_elongated"},
+                  "@": {"closed_form_ifr", "error_metric"}}
+
+
+def _formulas(node):
+    for sub in ast.walk(node):
+        if isinstance(getattr(sub, "op", None), ast.MatMult):
+            yield "@"
+        elif isinstance(sub, ast.Call) and ast.unparse(sub.func) == "np.convolve":
+            yield "np.convolve"
+
+
+def test_each_formula_has_one_owner():
+    found = {formula: set() for formula in FORMULA_OWNERS}
+    for path in Path(ifrlag.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for formula in _formulas(node):
+                found[formula].add(getattr(node, "name", "<module>"))
+    assert found == FORMULA_OWNERS

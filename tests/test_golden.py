@@ -1,31 +1,32 @@
 """Byte-for-byte golden outputs of both CLI commands on the demo scenario.
 
-For each death mode, `simulate` runs on configs/scenario_two_wave.json
-(seed 7, as in scripts/demo_synthetic.py), then `fit-intervals` runs on the
-simulated CSV with the demo's run config. Every artifact must match tests/golden/<mode>/ exactly,
-except that JSON artifacts are compared without `config.dataset.path`, so
-the goldens do not depend on where the config is written.
+For each death mode, scripts/demo_synthetic.py's `run` (seed 7) simulates
+configs/scenario_two_wave.json, then runs `fit-intervals` on the simulated
+CSV with the demo's run config. Every artifact must match
+tests/golden/<mode>/ exactly, except that JSON artifacts are compared
+without `config.dataset.path`, so the goldens do not depend on where the
+config is written.
 
 Regenerate the goldens, only for an intended output change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
-import datetime as dt
+import importlib.util
 import json
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from ifrlag.cli import main
-from ifrlag.synth import Scenario
-
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SCENARIO = REPO / "configs" / "scenario_two_wave.json"
 SEED = 7
-ANCHOR_DAY = 150
 MODES = ("expected", "sampled")
+
+_spec = importlib.util.spec_from_file_location(
+    "demo_synthetic", REPO / "scripts" / "demo_synthetic.py")
+demo = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(demo)
 
 
 def _without_dataset_path(raw: bytes) -> bytes:
@@ -35,36 +36,10 @@ def _without_dataset_path(raw: bytes) -> bytes:
 
 
 def run_commands(mode: str, root: Path) -> dict[str, bytes]:
-    """Run both commands under root; map artifact name to its bytes."""
-    sim, run = root / "sim", root / "run"
-    assert main(["simulate", "--scenario", str(SCENARIO), "--seed", str(SEED),
-                 "--mode", mode, "--output-dir", str(sim)]) == 0
-    scenario = Scenario.from_json(SCENARIO)
-    truth = json.loads((sim / "ground_truth.json").read_text(encoding="utf-8"))
-    origin = scenario.infections.origin_day
-    config = {
-        "label": "two-wave demo",
-        "dataset": {"path": "sim/dataset.csv"},
-        "population": scenario.population,
-        "anchor": {
-            "date": (origin + dt.timedelta(days=ANCHOR_DAY - 1)).isoformat(),
-            "count": truth["cumulative_infections"][ANCHOR_DAY - 1],
-        },
-        "date_range": {
-            "start": origin.isoformat(),
-            "end": (origin + dt.timedelta(
-                days=len(scenario.infections) - 1)).isoformat(),
-        },
-        "intervals": {"width": 50, "min_trailing": 10},
-        "max_lag": 50,
-        "output_dir": run.name,
-    }
-    config_path = root / "config.json"
-    config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
-    assert main(["fit-intervals", "--config", str(config_path)]) == 0
-
+    """Run the demo under root; map each artifact name to its bytes."""
+    assert demo.run(root, SEED, mode) == 0
     artifacts = {}
-    for directory in (sim, run):
+    for directory in (root / "sim", root / "run"):
         for path in sorted(directory.iterdir()):
             raw = path.read_bytes()
             if path.suffix == ".json":

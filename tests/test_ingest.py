@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from ifrlag.errors import (
     ConfigError,
+    DomainError,
     GapUnrepairable,
     MissingColumn,
     PolicyViolation,
@@ -252,3 +253,10 @@ def test_file_object_and_bom_tolerated(tmp_path):
     with open(path, "rb") as fh:
         ds, _ = load_dataset(fh, MAPPING, POLICY, 1_000_000, (MARCH, MARCH))
     assert ds.cases.values[0] == 1.0
+
+
+def test_population_must_be_an_integer():
+    # the population is passed to Dataset as given, not truncated
+    raw = csv_bytes([f"{day(1)},10,1,1000"])
+    with pytest.raises(DomainError, match="population must be an integer"):
+        load_dataset(raw, MAPPING, POLICY, 1e7 + 0.5, (MARCH, MARCH))
