@@ -3,10 +3,12 @@
 For a fixed lag law the best vertical scaling has a closed form: the error
 sum_j (r * i'_j - d_j)^2 is quadratic in r with unique minimizer
 r = (i' . d) / ||i'||^2, and its minimum is ||d||^2 - (i' . d)^2 / ||i'||^2.
-The lag pair is the best over every integer a <= b <= max_lag, found by a
-filter and a re-score. The filter reads every pair's minimum, with a bound
-on its rounding, off summed-area tables of lag sums in O(k L + L^2) time and
-memory (k days, L = max_lag). The per-pair path, the three owners of the
+The lag pair is the best over every integer a <= b <= min(max_lag, k-1)
+for k days: a lag of k days or more lands nothing inside the window, so the
+data cannot tell such pairs apart. It is found by a filter and a re-score.
+The filter reads every pair's minimum, with a bound on its rounding, off
+summed-area tables of lag sums in O(k L + L^2) time and memory (L the lag
+bound, at most k-1). The per-pair path, the three owners of the
 formulas (shift_expectation, closed_form_ifr and error_metric), then scores
 only the pairs whose interval reaches the lowest upper bound, so the result
 is the exhaustive per-pair search's, bit for bit.
@@ -25,7 +27,7 @@ from .lagmodel import LagDistribution, shift_expectation
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Grid bound for the lag search."""
+    """Bound on the lag search; best_fit also stops at k-1 for k days."""
 
     max_lag: int = 50
 
@@ -99,17 +101,17 @@ def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
     """Pairs (a, b) in lexicographic order and bounds lo <= m <= hi on the
     error m the per-pair path computes for each.
 
-    The pairs are a <= b <= max_lag with a <= k-1-f, f the first day with
-    non-zero infections: a larger a shifts every infection past the window,
-    which the per-pair path skips. A pair whose surface value may have
-    under- or overflowed gets lo = -inf, hi = inf.
+    The pairs are a <= b <= n-1, n = min(max_lag, k-1) + 1, with
+    a <= k-1-f, f the first day with non-zero infections: a larger a shifts
+    every infection past the window, which the per-pair path skips. A pair
+    whose surface value may have under- or overflowed gets lo = -inf,
+    hi = inf.
     """
     k = len(iv)
-    top = min(max_lag, k - 1)  # lags past k-1 land nothing inside the window
-    n = top + 1
-    last_a = min(top, k - 1 - int(np.flatnonzero(iv)[0]))
-    a, b = np.nonzero(np.arange(max_lag + 1) >= np.arange(last_a + 1)[:, None])
-    e = np.minimum(b, top) + 1
+    n = min(max_lag, k - 1) + 1
+    last_a = min(n - 1, k - 1 - int(np.flatnonzero(iv)[0]))
+    a, b = np.nonzero(np.arange(n) >= np.arange(last_a + 1)[:, None])
+    e = b + 1
     corners = (a * (n + 1) + a, a * (n + 1) + e, e * (n + 1) + a, e * (n + 1) + e)
 
     def blocks(XR, R):
@@ -146,29 +148,32 @@ def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
                  + g * g * ((num_abs + err_num) ** 2 / den_lo + dd) + tiny)
         lo = dd * (1 - g) - q_hi - slack
         hi = dd * (1 + g) - q_lo + slack
-        # the per-pair path's squared norm is (b-a+1)^2 times smaller than
-        # den: this far from underflow, it comes out non-zero
-        safe = ((den_lo > (max_lag + 1) ** 2 * 2.0**-900)
+        # the per-pair path's squared norm is (b-a+1)^2 <= n^2 times smaller
+        # than den: this far from underflow, it comes out non-zero
+        safe = ((den_lo > n**2 * 2.0**-900)
                 & np.isfinite(lo) & np.isfinite(hi))
     return a, b, np.where(safe, lo, -np.inf), np.where(safe, hi, np.inf)
 
 
 def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
-    """Least-squares Uniform(a, b) lag and scaling over a <= b <= max_lag.
+    """Least-squares Uniform(a, b) lag and scaling over a <= b <= L,
+    L = min(max_lag, k-1) for k days.
 
-    For each pair the scaling is the closed-form minimizer and the error is
-    the squared distance of the scaled truncated shift to d. Ties are broken
-    by strict improvement only, so the first pair in lexicographic (a, b)
-    order wins. Pairs whose shift is identically zero inside the window (all
-    mass pushed past the end) are skipped.
+    Lags of k days or more land nothing inside the window, so the search
+    never reaches past it. For each pair the scaling is the closed-form
+    minimizer and the error is the squared distance of the scaled truncated
+    shift to d. Ties are broken by strict improvement only, so the first
+    pair in lexicographic (a, b) order wins. Pairs whose shift is
+    identically zero inside the window (all mass pushed past the end) are
+    skipped.
 
     The search filters, then re-scores. _error_bounds brackets the error of
-    every pair in O(k L + L^2) time and memory (k days, L = max_lag). Only
-    the pairs whose interval reaches the lowest upper bound, usually one,
-    are scored by the per-pair path, in lexicographic order with strict
-    improvement, at O(k L) each. Every other pair is worse than one of
-    them, so the winner, its IFR and its error are the ones the per-pair
-    path gives when it scores all pairs.
+    every pair in O(k L + L^2) time and memory. Only the pairs whose
+    interval reaches the lowest upper bound, usually one, are scored by the
+    per-pair path, in lexicographic order with strict improvement, at O(k L)
+    each. Every other pair is worse than one of them, so the winner, its
+    IFR and its error are the ones the per-pair path gives when it scores
+    all pairs.
     """
     iv, dv = as_pair(i, d)
     if not np.any(iv > 0):

@@ -5,8 +5,8 @@ window ("current" deaths) and late deaths of infections from the previous
 window ("residual" deaths). Windows are processed left to right; each
 window's fit runs on its deaths minus the incoming residuals, and its own
 outgoing residuals (the elongated-shift tail past the window end, scaled by
-the fitted rate) are handed to the next window. Lags are capped at width-1
-so residuals never span more than one window boundary.
+the fitted rate) are handed to the next window. best_fit never reaches past
+its window, so residuals span at most one boundary.
 
 The first window necessarily attributes every death to its own infections,
 which tends to overestimate its rate; it is flagged rather than corrected.
@@ -34,17 +34,17 @@ WARN_TRAILING_DROPPED = "trailing_window_dropped"
 
 @dataclass(frozen=True)
 class IntervalConfig:
-    """Window width and handling of the leftover tail.
+    """Window width, handling of the leftover tail and the lag bound.
 
     Trailing remainders shorter than min_trailing days are dropped (too few
     days to support a lag grid); longer remainders are fitted like any other
-    window. max_lag, when set, further caps the per-window grid below the
-    structural bound width - 1.
+    window. max_lag bounds every window's lag search, which best_fit also
+    stops at the window's own length minus one.
     """
 
     width: int = 50
     min_trailing: int = 10
-    max_lag: int | None = None
+    max_lag: int = FitConfig().max_lag
 
     def __post_init__(self):
         require_int(width=self.width, min_trailing=self.min_trailing)
@@ -52,15 +52,7 @@ class IntervalConfig:
             raise DomainError(f"window width must be >= 2, got {self.width}")
         if self.min_trailing < 1:
             raise DomainError("min_trailing must be >= 1")
-        if self.max_lag is not None:
-            FitConfig(self.max_lag)
-
-    @property
-    def effective_max_lag(self) -> int:
-        cap = self.width - 1
-        if self.max_lag is not None:
-            cap = min(cap, self.max_lag)
-        return cap
+        FitConfig(self.max_lag)
 
 
 @dataclass(frozen=True)
@@ -81,7 +73,7 @@ class IntervalReport:
 
     windows: tuple[WindowResult, ...]
     candidate_deaths: np.ndarray
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
 
     def to_rows(self) -> list[dict]:
         return [
@@ -129,7 +121,7 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
     if not starts:
         raise FitError(f"series of length {k} leaves no fittable window")
 
-    fit_config = FitConfig(max_lag=config.effective_max_lag)
+    fit_config = FitConfig(config.max_lag)
     candidate = np.zeros(k)
     windows: list[WindowResult] = []
     for n, s in enumerate(starts, start=1):

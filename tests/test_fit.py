@@ -178,7 +178,7 @@ def _outcome(search, i, d, config):
 
 @st.composite
 def fit_cases(draw):
-    """Short windows (max_lag may reach past k) and infections from 1e-3 to
+    """Short windows (max_lag may reach past k-1) and infections from 1e-3 to
     1e6 after a lead of zero or 1e-3 days, which brings pairs to near-ties,
     some of them negated (signed infections cancel inside a lag block);
     deaths planted at a pair, integer counts (exact ties between pairs),
@@ -215,6 +215,12 @@ def fit_cases(draw):
 @example((np.array([0.0, 0.0, 10.0]), np.zeros(3), FitConfig(max_lag=5)))
 # k = 2 with max_lag >= k
 @example((np.array([1.0, 1.0]), np.array([1.0, 0.0]), FitConfig(max_lag=4)))
+# U(1, 4) rounds to error 0 in a 4-day window, below U(1, 3), which fits
+# alike in exact arithmetic
+@example((np.array([2.0, 6.0, 5.0, 3.0]), np.array([0.0, 6.0, 24.0, 39.0]),
+          FitConfig(max_lag=4)))
+# a bound far past the window, and past what np.arange can allocate
+@example((np.ones(5), np.ones(5), FitConfig(max_lag=10**20)))
 # two near-exact fits, closer than the surface's rounding
 @example((np.array([1e-3, 34.0]), np.array([1e-3, 34.0]), FitConfig(max_lag=1)))
 # the same near-tie with negative deaths (a negative IFR)
@@ -223,8 +229,10 @@ def fit_cases(draw):
 @example((np.array([1.0, -0.999, 1.0, -0.999, 1.0]), np.array([1.0, 0.0, 1.0, 0.0, 1.0]),
           FitConfig(max_lag=4)))
 def test_best_fit_equals_per_pair_search(case):
+    # best_fit searches no lag of k days or more, whatever max_lag is
     i, d, config = case
-    assert _outcome(best_fit, i, d, config) == _outcome(loop_best_fit, i, d, config)
+    capped = FitConfig(min(config.max_lag, len(i) - 1))
+    assert _outcome(best_fit, i, d, config) == _outcome(loop_best_fit, i, d, capped)
 
 
 # the formulas whose rounding follows the BLAS kernel, and the one function

@@ -17,7 +17,8 @@ from ifrlag.intervals import (
     fit_intervals,
 )
 from ifrlag.lagmodel import LagDistribution, shift_expectation, shift_expectation_elongated
-from ifrlag.synth import DEFAULT_ORIGIN, Regime, Scenario, generate_deaths
+from ifrlag.synth import (DEFAULT_ORIGIN, Regime, Scenario, default_scenario,
+                          generate_deaths)
 
 
 def scenario_infections(k=100, total=4e5):
@@ -213,7 +214,8 @@ def test_zero_overflow_windows_match_independent_fits():
 
 
 
-@pytest.mark.parametrize("k, max_lag", [(30, 0), (40, 39), (100, 12), (250, 50)])
+@pytest.mark.parametrize("k, max_lag",
+                         [(30, 0), (40, 39), (100, 12), (250, 50), (20, 35)])
 def test_whole_period_window_is_best_fit(k, max_lag):
     # a window as wide as the series is the whole-period fit, bit for bit
     i = scenario_infections(k)
@@ -221,6 +223,22 @@ def test_whole_period_window_is_best_fit(k, max_lag):
     d = generate_deaths(sc, "sampled", seed=k).values
     (window,) = fit_intervals(i, d, IntervalConfig(width=k, max_lag=max_lag)).windows
     assert window.fit == best_fit(i, d, FitConfig(max_lag))
+
+
+def test_short_trailing_window_searches_only_its_own_lags():
+    # in the 13-day tail every U(5, b >= 12) fits alike, its IFR scaled by
+    # (b - 4) / 8 and its error apart only in rounding, so only lags inside
+    # the window identify the IFR
+    sc = default_scenario(k=263, ifrs=(0.0068, 0.0056, 0.0037, 0.0024, 0.0024, 0.002))
+    i = sc.infections.values
+    report = fit_intervals(i, generate_deaths(sc, "sampled", seed=1).values)
+    for w in report.windows:
+        assert w.fit.lag_b <= w.end_day - w.start_day
+    last = report.windows[-1]
+    assert last.end_day - last.start_day + 1 == 13
+    assert last.fit == best_fit(i[last.start_day - 1 :], last.adjusted_deaths,
+                                FitConfig(12))
+
 
 def test_first_window_is_flagged():
     i = scenario_infections()
@@ -295,6 +313,3 @@ def test_interval_config_validation():
         IntervalConfig(width=50, min_trailing=0)
     with pytest.raises(DomainError, match="max_lag must be >= 0"):
         IntervalConfig(max_lag=-1)
-    assert IntervalConfig(width=50).effective_max_lag == 49
-    assert IntervalConfig(width=50, max_lag=10).effective_max_lag == 10
-    assert IntervalConfig(width=8, max_lag=20).effective_max_lag == 7
