@@ -28,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .domain import Dataset, anchor_from_study, require_number
-from .errors import CalibrationError, ConfigError, DataError, DomainError, FitError
+from .domain import Dataset, anchor_from_study, known_keys, require_number
+from .errors import CalibrationError, ConfigError, DataError, FitError
 from .fit import FitConfig
 from .infection import calibrate_m, estimate_infections
-from .ingest import ColumnMapping, RepairPolicy, load_dataset, write_dataset_csv
+from .ingest import ColumnMapping, RepairPolicy, dataset_csv, load_dataset
 from .intervals import IntervalConfig, IntervalReport, fit_intervals
 from .svgchart import line_chart
 from .synth import Scenario, generate_observables
@@ -50,14 +50,6 @@ KEYS = ("label", "notes", "dataset", "population", "anchor", "date_range",
 
 def _iso_date(value) -> str:
     return dt.date.fromisoformat(value).isoformat()
-
-
-def _known_keys(section: dict, name: str, keys) -> dict:
-    """section itself, unless it holds a key outside keys (ConfigError)."""
-    unknown = sorted(set(section) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
-    return section
 
 
 @dataclass(frozen=True)
@@ -86,12 +78,12 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         base = path.parent
         try:
-            _known_keys(data, "config", KEYS)
+            known_keys(data, "config", KEYS)
             ds, anchor, rng = data["dataset"], data["anchor"], data["date_range"]
-            _known_keys(ds, "dataset", ("path", "columns", "repair"))
-            _known_keys(anchor, "anchor", ("date", "fraction", "count"))
-            _known_keys(rng, "date_range", ("start", "end"))
-            columns = _known_keys(ds.get("columns", {}), "dataset.columns", COLUMNS)
+            known_keys(ds, "dataset", ("path", "columns", "repair"))
+            known_keys(anchor, "anchor", ("date", "fraction", "count"))
+            known_keys(rng, "date_range", ("start", "end"))
+            columns = known_keys(ds.get("columns", {}), "dataset.columns", COLUMNS)
             require_number(**{f"anchor.{k}": v for k, v in anchor.items() if k != "date"})
             repair = RepairPolicy(**ds.get("repair", {}))
             intervals = IntervalConfig(**data.get("intervals", {}),
@@ -233,21 +225,20 @@ def cmd_fit_intervals(config: RunConfig) -> None:
 def cmd_simulate(scenario_path, output_dir, seed: int, mode: str) -> None:
     try:
         scenario = Scenario.from_json(scenario_path)
-    except (OSError, AttributeError, DomainError, KeyError, OverflowError,
+    except (OSError, AttributeError, DataError, KeyError, OverflowError,
             TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read scenario {scenario_path}: {exc}") from exc
     dataset = generate_observables(scenario, mode=mode, seed=seed)
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_dataset_csv(dataset, out / "dataset.csv")
     cumulative = np.cumsum(scenario.infections.values)
-    _publish(out, {"ground_truth.json": _json({
-        "scenario": scenario.to_dict(),
-        "mode": mode,
-        "seed": seed,
-        "cumulative_infections": cumulative.tolist(),
-        "total_deaths": float(dataset.deaths.values.sum()),
-    })})
+    _publish(out, {"dataset.csv": dataset_csv(dataset),
+                   "ground_truth.json": _json({
+                       "scenario": scenario.to_dict(),
+                       "mode": mode,
+                       "seed": seed,
+                       "cumulative_infections": cumulative.tolist(),
+                       "total_deaths": float(dataset.deaths.values.sum()),
+                   })})
     print(f"wrote {out / 'dataset.csv'} ({len(dataset)} days, mode={mode}, "
           f"seed={seed}) and ground_truth.json")
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     CasesExceedTests,
+    ConfigError,
     DomainError,
     LengthMismatch,
     NegativeValue,
@@ -45,6 +46,16 @@ def require_int(**fields) -> None:
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def known_keys(section: dict, name: str, keys) -> dict:
+    """section, if it is a dict whose keys are all in keys; else ConfigError."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object, got {type(section).__name__}")
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    return section
 
 
 def require_number(**fields) -> None:

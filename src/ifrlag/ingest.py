@@ -22,7 +22,8 @@ import csv
 import datetime as dt
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -30,12 +31,14 @@ from .domain import DailySeries, Dataset
 from .errors import (
     ConfigError,
     GapUnrepairable,
+    IngestError,
     MissingColumn,
     PolicyViolation,
     UnparseableRow,
 )
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+FIELDS = ("cases", "deaths", "tests")
 
 
 @dataclass(frozen=True)
@@ -46,12 +49,7 @@ class ColumnMapping:
     tests_column: str
 
     def __post_init__(self):
-        names = [
-            self.date_column,
-            self.cases_column,
-            self.deaths_column,
-            self.tests_column,
-        ]
+        names = list(astuple(self))
         if len(set(names)) != 4:
             raise ConfigError(f"column names must be distinct, got {names}")
 
@@ -86,10 +84,11 @@ class RepairEntry:
         )
 
 
-def _parse_count(raw: str, field: str, line_no: int) -> float | None:
+def _parse_count(raw: str, field: str, line_no: int) -> float:
+    """A cell's whole count, or NaN when the cell is missing."""
     token = raw.strip()
     if token.lower() in MISSING_TOKENS:
-        return None
+        return np.nan
     try:
         value = float(token)
     except ValueError:
@@ -107,91 +106,23 @@ def _parse_count(raw: str, field: str, line_no: int) -> float | None:
     return float(round(value))
 
 
-def _read_rows(csv_source, mapping: ColumnMapping) -> dict[dt.date, tuple]:
-    """Structural pass: locate columns, parse dates, reject duplicates.
-
-    Cell values stay raw strings here; they are validated later and only
-    for rows inside the requested date range, so junk in irrelevant rows
-    (negative corrections a year later, say) cannot sink a load.
-    """
-    if isinstance(csv_source, (str, bytes)):
-        data = csv_source.encode() if isinstance(csv_source, str) else csv_source
-    else:
-        data = csv_source.read()
-        if isinstance(data, str):
-            data = data.encode()
+def _records(csv_source: bytes):
+    """(record number from 1, cells) for each CSV record; a bad file raises."""
+    if not isinstance(csv_source, bytes):
+        raise IngestError(f"CSV source must be bytes, got {type(csv_source).__name__}")
     try:
-        text = data.decode("utf-8-sig")
+        text = csv_source.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UnparseableRow(f"CSV is not UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text))
     try:
-        records = list(reader)
+        yield from enumerate(reader, start=1)
     except csv.Error as exc:
         raise UnparseableRow(f"line {reader.line_num}: {exc}") from None
-    if not records:
-        raise UnparseableRow("empty CSV: no header row")
-    header = [h.strip() for h in records[0]]
-    columns = {}
-    for name in (mapping.date_column, mapping.cases_column,
-                 mapping.deaths_column, mapping.tests_column):
-        if name not in header:
-            raise MissingColumn(f"column {name!r} not in header {header}")
-        columns[name] = header.index(name)
-    needed = max(columns.values())
-
-    rows: dict[dt.date, tuple] = {}
-    for line_no, row in enumerate(records[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) <= needed:
-            raise UnparseableRow(f"line {line_no}: {len(row)} cells, expected "
-                                 f"at least {needed + 1}")
-        try:
-            day = dt.date.fromisoformat(row[columns[mapping.date_column]].strip())
-        except ValueError:
-            raise UnparseableRow(
-                f"line {line_no}: bad date "
-                f"{row[columns[mapping.date_column]]!r}"
-            ) from None
-        if day in rows:
-            raise UnparseableRow(f"line {line_no}: duplicate date {day}")
-        rows[day] = (
-            line_no,
-            row[columns[mapping.cases_column]],
-            row[columns[mapping.deaths_column]],
-            row[columns[mapping.tests_column]],
-        )
-    return rows
-
-
-def _fill_test_gaps(tests: list[float | None], policy: RepairPolicy,
-                    log: list[RepairEntry]) -> np.ndarray:
-    observed = [j for j, v in enumerate(tests) if v is not None]
-    missing = [j for j, v in enumerate(tests) if v is None]
-    if not missing:
-        return np.asarray(tests, dtype=float)
-    if policy.test_gap_fill == "error":
-        raise PolicyViolation(
-            f"tests missing on day {missing[0] + 1} with test_gap_fill=error"
-        )
-    if not observed:
-        raise GapUnrepairable("tests column has no observed values to interpolate")
-    if missing[0] < observed[0] or missing[-1] > observed[-1]:
-        edge = missing[0] if missing[0] < observed[0] else missing[-1]
-        raise GapUnrepairable(
-            f"tests missing at day {edge + 1} with no flanking observation"
-        )
-    filled = np.array(tests, dtype=float)  # None becomes nan
-    filled[missing] = np.interp(missing, observed, filled[observed])
-    for j in missing:
-        log.append(RepairEntry(day=j + 1, field="tests", action="interpolate",
-                               value=float(filled[j])))
-    return filled
 
 
 def load_dataset(
-    csv_source,
+    csv_source: bytes,
     mapping: ColumnMapping,
     policy: RepairPolicy,
     population: int,
@@ -200,39 +131,75 @@ def load_dataset(
 ) -> tuple[Dataset, list[RepairEntry]]:
     """Parse, repair and validate one region's daily series.
 
-    csv_source is a byte stream (or bytes/str). Returns the validated
-    dataset, whose origin is the start of the range, together with the
-    ordered repair log.
+    csv_source is the CSV file's bytes. Every row must have its mapped
+    cells, a valid date and a date no other row has; cell values are
+    checked only for rows inside the range, so junk in irrelevant rows
+    (negative corrections a year later, say) cannot sink a load. Returns
+    the validated dataset, whose origin is the start of the range,
+    together with the ordered repair log.
     """
     start, end = date_range
     if end < start:
         raise ConfigError(f"date range end {end} precedes start {start}")
-    rows = _read_rows(csv_source, mapping)
+    records = _records(csv_source)
+    _, header = next(records, (1, None))
+    if header is None:
+        raise UnparseableRow("empty CSV: no header row")
+    header = [h.strip() for h in header]
+    columns = []
+    for name in astuple(mapping):
+        if name not in header:
+            raise MissingColumn(f"column {name!r} not in header {header}")
+        columns.append(header.index(name))
+    needed = max(columns)
 
     k = (end - start).days + 1
-    days = [start + dt.timedelta(days=j) for j in range(k)]
-    raw = []
-    for day in days:
-        if day in rows:
-            line_no, c_raw, d_raw, t_raw = rows[day]
-            raw.append((_parse_count(c_raw, "cases", line_no),
-                        _parse_count(d_raw, "deaths", line_no),
-                        _parse_count(t_raw, "tests", line_no)))
-        else:
-            raw.append((None, None, None))
+    table = np.full((k, 3), np.nan)  # cases, deaths, tests; NaN = missing
+    seen = set()
+    for line_no, row in records:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) <= needed:
+            raise UnparseableRow(f"line {line_no}: {len(row)} cells, expected "
+                                 f"at least {needed + 1}")
+        try:
+            day = dt.date.fromisoformat(row[columns[0]].strip())
+        except ValueError:
+            raise UnparseableRow(
+                f"line {line_no}: bad date {row[columns[0]]!r}"
+            ) from None
+        if day in seen:
+            raise UnparseableRow(f"line {line_no}: duplicate date {day}")
+        seen.add(day)
+        j = (day - start).days
+        if 0 <= j < k:
+            table[j] = [_parse_count(row[c], field, line_no)
+                        for c, field in zip(columns[1:], FIELDS)]
 
-    log: list[RepairEntry] = []
-    cases = np.zeros(k)
-    deaths = np.zeros(k)
-    for j, (c, d, _) in enumerate(raw):
-        for field, value, target in (("cases", c, cases), ("deaths", d, deaths)):
-            if value is None:
-                log.append(RepairEntry(day=j + 1, field=field, action="fill_zero",
-                                       value=0.0))
-                value = 0.0
-            target[j] = value
+    cases, deaths, tests = table.T  # views: writing them writes the table
+    missing = np.isnan(table)
+    log = [RepairEntry(day=int(j) + 1, field=FIELDS[f], action="fill_zero", value=0.0)
+           for j, f in zip(*np.nonzero(missing[:, :2]))]
+    cases[missing[:, 0]] = 0.0
+    deaths[missing[:, 1]] = 0.0
 
-    tests = _fill_test_gaps([r[2] for r in raw], policy, log)
+    gaps = np.flatnonzero(missing[:, 2])
+    if len(gaps):
+        if policy.test_gap_fill == "error":
+            raise PolicyViolation(
+                f"tests missing on day {gaps[0] + 1} with test_gap_fill=error"
+            )
+        observed = np.flatnonzero(~missing[:, 2])
+        if not len(observed):
+            raise GapUnrepairable("tests column has no observed values to interpolate")
+        if gaps[0] < observed[0] or gaps[-1] > observed[-1]:
+            edge = gaps[0] if gaps[0] < observed[0] else gaps[-1]
+            raise GapUnrepairable(
+                f"tests missing at day {edge + 1} with no flanking observation"
+            )
+        tests[gaps] = np.interp(gaps, observed, tests[observed])
+        log += [RepairEntry(day=int(j) + 1, field="tests", action="interpolate",
+                            value=float(tests[j])) for j in gaps]
 
     short = np.flatnonzero(cases > tests)
     for j in short:
@@ -254,18 +221,24 @@ def load_dataset(
     return dataset, log
 
 
-def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Write a dataset as date,cases,deaths,tests CSV, which load_dataset reads.
+def dataset_csv(dataset: Dataset) -> str:
+    """A dataset as date,cases,deaths,tests CSV text, which load_dataset reads.
 
     Reported series must be whole counts on ingest, so fractional synthetic
     values are rounded.
     """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["date", "cases", "deaths", "tests"])
     rows = zip(dataset.cases.values, dataset.deaths.values, dataset.tests.values)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "cases", "deaths", "tests"])
-        for j, (c, d, t) in enumerate(rows):
-            day = dataset.cases.origin_day + dt.timedelta(days=j)
-            c, d, t = round(c), round(d), round(t)
-            t = max(t, c)  # rounding must not break cases <= tests
-            writer.writerow([day.isoformat(), str(c), str(d), str(t)])
+    for j, (c, d, t) in enumerate(rows):
+        day = dataset.cases.origin_day + dt.timedelta(days=j)
+        c, d, t = round(c), round(d), round(t)
+        t = max(t, c)  # rounding must not break cases <= tests
+        writer.writerow([day.isoformat(), str(c), str(d), str(t)])
+    return buffer.getvalue()
+
+
+def write_dataset_csv(dataset: Dataset, path) -> None:
+    """Write dataset_csv(dataset) to path."""
+    Path(path).write_bytes(dataset_csv(dataset).encode("utf-8"))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DailySeries, Dataset, require_int, require_number
+from .domain import DailySeries, Dataset, known_keys, require_int, require_number
 from .errors import DomainError
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
@@ -94,9 +94,13 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        known_keys(data, "scenario", ("label", "origin_day", "population", "m_true",
+                                      "infections", "test_curve", "regimes"))
         origin = dt.date.fromisoformat(data["origin_day"])
         require_number(m_true=data["m_true"])
         for r in data["regimes"]:
+            known_keys(r, "regime", ("start_day", "end_day", "ifr", "lag"))
+            known_keys(r["lag"], "lag", ("kind", "a", "b"))
             require_number(ifr=r["ifr"])
             kind = r["lag"].get("kind", "uniform")
             if kind != "uniform":

@@ -352,6 +352,12 @@ BAD_SCENARIOS = {
     "ifr_string": lambda sc: _first_regime_with(
         sc, {**sc["regimes"][0], "ifr": str(sc["regimes"][0]["ifr"])}),
     "m_true_string": lambda sc: {**sc, "m_true": str(sc["m_true"])},
+    "top_level_unknown_key": lambda sc: {**sc, "m_ture": sc["m_true"]},
+    "label_misspelt": lambda sc: {**sc, "lable": "x"},
+    "regime_unknown_key": lambda sc: _first_regime_with(
+        sc, {**sc["regimes"][0], "ifrr": 0.5}),
+    "lag_unknown_key": lambda sc: _first_regime_with(
+        sc, {**sc["regimes"][0], "lag": {**sc["regimes"][0]["lag"], "kindd": "x"}}),
 }
 
 
@@ -434,6 +440,20 @@ def test_file_system_error_exits_2(workspace, tmp_path, capsys, name):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_failed_simulate_keeps_the_old_dataset(workspace, tmp_path, capsys):
+    # a sampled dataset.csv must not land beside the old expected-mode truth
+    _, scenario_path, _ = workspace
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario_path),
+                 "--output-dir", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / ".ground_truth.json.tmp").mkdir()
+    assert main(["simulate", "--scenario", str(scenario_path), "--mode", "sampled",
+                 "--seed", "5", "--output-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
+
 def test_infeasible_anchor_exits_3(workspace, tmp_path):
     root, _, config_path = workspace
     cfg = json.loads(config_path.read_text())
@@ -489,7 +509,7 @@ def test_failed_run_leaves_output_dir_as_it_was(workspace, tmp_path, name):
 
 # every file write in cli.py, by the call that makes it, and its one owner
 WRITERS = {"open": "_publish", "write_text": "_publish", "write_bytes": "_publish",
-           "os.replace": "_publish", "write_dataset_csv": "cmd_simulate"}
+           "os.replace": "_publish", "write_dataset_csv": "_publish"}
 
 
 def _call_names(node):
@@ -509,7 +529,7 @@ def test_only_publish_writes_files():
     found = {(name, getattr(node, "name", "<module>"))
              for node in tree.body for name in _call_names(node) if name in WRITERS}
     assert found <= set(WRITERS.items()), sorted(found)
-    assert {("os.replace", "_publish"), ("write_dataset_csv", "cmd_simulate")} <= found
+    assert ("os.replace", "_publish") in found
 
 
 def test_anchor_outside_range_exits_2(workspace, tmp_path):

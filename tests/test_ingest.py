@@ -11,6 +11,7 @@ from ifrlag.errors import (
     ConfigError,
     DomainError,
     GapUnrepairable,
+    IngestError,
     MissingColumn,
     PolicyViolation,
     UnparseableRow,
@@ -86,6 +87,27 @@ def test_missing_row_inside_range_treated_as_all_missing():
     assert actions[(2, "tests")] == "interpolate"
 
 
+def test_repair_log_lines_in_order():
+    # every kind of repair: cases and deaths blank on day 2, no row for day 4,
+    # tests blank on days 6-7, zero tests with cases on day 9
+    raw = csv_bytes([f"{day(1)},10,1,1000", f"{day(2)},,,1200",
+                     f"{day(3)},30,3,1400", f"{day(5)},50,5,1600",
+                     f"{day(6)},60,6,", f"{day(7)},70,7,",
+                     f"{day(8)},80,8,1900", f"{day(9)},9,0,0"])
+    _, log = load_dataset(raw, MAPPING, POLICY, 1_000_000,
+                          (MARCH, dt.date(2020, 3, 9)))
+    assert [e.to_json() for e in log] == [
+        '{"day": 2, "field": "cases", "action": "fill_zero", "value": 0.0}',
+        '{"day": 2, "field": "deaths", "action": "fill_zero", "value": 0.0}',
+        '{"day": 4, "field": "cases", "action": "fill_zero", "value": 0.0}',
+        '{"day": 4, "field": "deaths", "action": "fill_zero", "value": 0.0}',
+        '{"day": 4, "field": "tests", "action": "interpolate", "value": 1500.0}',
+        '{"day": 6, "field": "tests", "action": "interpolate", "value": 1700.0}',
+        '{"day": 7, "field": "tests", "action": "interpolate", "value": 1800.0}',
+        '{"day": 9, "field": "tests", "action": "raise_tests", "value": 9.0}',
+    ]
+
+
 def test_boundary_test_gap_is_unrepairable():
     raw = csv_bytes([f"{day(1)},1,0,", f"{day(2)},2,0,2000"])
     with pytest.raises(GapUnrepairable, match="day 1"):
@@ -131,6 +153,13 @@ def test_duplicate_date_rejected():
     raw = csv_bytes([f"{day(1)},1,0,100", f"{day(1)},2,0,200"])
     with pytest.raises(UnparseableRow, match="duplicate"):
         load_dataset(raw, MAPPING, POLICY, 1_000_000, (MARCH, MARCH))
+
+
+def test_first_faulty_row_is_reported():
+    # a bad cell on line 2 comes before the duplicate date on line 4
+    raw = csv_bytes([f"{day(1)},-3,0,100", f"{day(2)},2,0,200", f"{day(2)},2,0,200"])
+    with pytest.raises(PolicyViolation, match="line 2: negative cases"):
+        load_dataset(raw, MAPPING, POLICY, 1_000_000, (MARCH, dt.date(2020, 3, 2)))
 
 
 def test_negative_value_rejected():
@@ -247,12 +276,20 @@ def test_large_counts_survive_the_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.deaths.values, ds.deaths.values)
 
 
-def test_file_object_and_bom_tolerated(tmp_path):
-    path = tmp_path / "bom.csv"
-    path.write_bytes(b"\xef\xbb\xbf" + csv_bytes([f"{day(1)},1,0,100"]))
-    with open(path, "rb") as fh:
-        ds, _ = load_dataset(fh, MAPPING, POLICY, 1_000_000, (MARCH, MARCH))
+def test_bytes_with_bom_tolerated():
+    raw = b"\xef\xbb\xbf" + csv_bytes([f"{day(1)},1,0,100"])
+    ds, _ = load_dataset(raw, MAPPING, POLICY, 1_000_000, (MARCH, MARCH))
     assert ds.cases.values[0] == 1.0
+
+
+def test_source_that_is_not_bytes_is_an_ingest_error(tmp_path):
+    raw = csv_bytes([f"{day(1)},1,0,100"])
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    with open(path, "rb") as fh:
+        for source in (raw.decode(), fh):
+            with pytest.raises(IngestError, match="must be bytes"):
+                load_dataset(source, MAPPING, POLICY, 1_000_000, (MARCH, MARCH))
 
 
 def test_population_must_be_an_integer():
