@@ -48,10 +48,6 @@ KEYS = ("label", "notes", "dataset", "population", "anchor", "date_range",
         "intervals", "max_lag", "output_dir")
 
 
-def _iso_date(value) -> str:
-    return dt.date.fromisoformat(value).isoformat()
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A run configuration.
@@ -60,13 +56,16 @@ class RunConfig:
     normalised; report.json echoes it verbatim. Paths resolve relative
     to the config file, but the echo keeps the dataset path as written: the
     dataset's sha256 identifies the data. Each value is checked by the type
-    that owns its rule, when the run builds it.
+    that owns its rule, most of them when the config is read.
     """
 
     settings: dict
     csv_path: Path
     output_dir: Path
+    columns: ColumnMapping
     repair: RepairPolicy
+    date_range: tuple[dt.date, dt.date]
+    anchor_date: dt.date
     intervals: IntervalConfig
 
     @classmethod
@@ -74,7 +73,7 @@ class RunConfig:
         path = Path(path)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         base = path.parent
         try:
@@ -83,31 +82,33 @@ class RunConfig:
             known_keys(ds, "dataset", ("path", "columns", "repair"))
             known_keys(anchor, "anchor", ("date", "fraction", "count"))
             known_keys(rng, "date_range", ("start", "end"))
-            columns = known_keys(ds.get("columns", {}), "dataset.columns", COLUMNS)
+            names = known_keys(ds.get("columns", {}), "dataset.columns", COLUMNS)
+            columns = ColumnMapping(*(names.get(k, k) for k in COLUMNS))
             require_number(**{f"anchor.{k}": v for k, v in anchor.items() if k != "date"})
             repair = RepairPolicy(**ds.get("repair", {}))
+            start, end = (dt.date.fromisoformat(rng[k]) for k in ("start", "end"))
+            anchor_date = dt.date.fromisoformat(anchor["date"])
             intervals = IntervalConfig(**data.get("intervals", {}),
                                        max_lag=data.get("max_lag", FitConfig().max_lag))
             settings = {
                 "label": data.get("label", path.stem),
                 "dataset": {
                     "path": ds["path"],
-                    "columns": {k: columns.get(k, k) for k in COLUMNS},
+                    "columns": dict(zip(COLUMNS, dataclasses.astuple(columns))),
                     "repair": dataclasses.asdict(repair),
                 },
                 "population": data["population"],
-                "anchor": {"date": _iso_date(anchor["date"]),
+                "anchor": {"date": anchor_date.isoformat(),
                            **{k: float(anchor[k]) if k in anchor else None
                               for k in ("fraction", "count")}},
-                "date_range": {"start": _iso_date(rng["start"]),
-                               "end": _iso_date(rng["end"])},
+                "date_range": {"start": start.isoformat(), "end": end.isoformat()},
                 "intervals": {"width": intervals.width,
                               "min_trailing": intervals.min_trailing},
                 "max_lag": intervals.max_lag,
             }
             return cls(settings, (base / ds["path"]).resolve(),
                        (base / data.get("output_dir", "out")).resolve(),
-                       repair, intervals)
+                       columns, repair, (start, end), anchor_date, intervals)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
 
@@ -167,19 +168,12 @@ def _charts(dataset: Dataset, infections, report: IntervalReport) -> dict[str, s
 
 def cmd_fit_intervals(config: RunConfig) -> None:
     s = config.settings
-    columns, anchor, rng = s["dataset"]["columns"], s["anchor"], s["date_range"]
     raw = config.csv_path.read_bytes()
-    dataset, repairs = load_dataset(
-        raw,
-        ColumnMapping(*(columns[k] for k in COLUMNS)),
-        config.repair,
-        s["population"],
-        (dt.date.fromisoformat(rng["start"]), dt.date.fromisoformat(rng["end"])),
-        label=s["label"],
-    )
+    dataset, repairs = load_dataset(raw, config.columns, config.repair,
+                                    s["population"], config.date_range, label=s["label"])
     calibration = calibrate_m(dataset, anchor_from_study(
-        dataset, dt.date.fromisoformat(anchor["date"]),
-        fraction=anchor["fraction"], count=anchor["count"]))
+        dataset, config.anchor_date,
+        fraction=s["anchor"]["fraction"], count=s["anchor"]["count"]))
     infections = estimate_infections(dataset, calibration.m)
     report = fit_intervals(infections, dataset.deaths, config.intervals)
     rows = report.to_rows()
@@ -223,11 +217,7 @@ def cmd_fit_intervals(config: RunConfig) -> None:
 
 
 def cmd_simulate(scenario_path, output_dir, seed: int, mode: str) -> None:
-    try:
-        scenario = Scenario.from_json(scenario_path)
-    except (OSError, AttributeError, DataError, KeyError, OverflowError,
-            TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot read scenario {scenario_path}: {exc}") from exc
+    scenario = Scenario.from_json(scenario_path)
     dataset = generate_observables(scenario, mode=mode, seed=seed)
     out = Path(output_dir)
     cumulative = np.cumsum(scenario.infections.values)

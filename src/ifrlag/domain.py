@@ -65,6 +65,13 @@ def require_number(**fields) -> None:
             raise DomainError(f"{name} must be a number, got {value!r}")
 
 
+def require_nonnegative(v: np.ndarray) -> None:
+    """Raise NegativeValue naming the first negative entry's 1-based day."""
+    if np.any(v < 0):
+        day = int(np.flatnonzero(v < 0)[0]) + 1
+        raise NegativeValue(f"negative value {v[day - 1]} at day {day}")
+
+
 def as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     """as_values of two series that must have the same length."""
     xv, yv = as_values(x), as_values(y)
@@ -82,9 +89,7 @@ class DailySeries:
 
     def __post_init__(self):
         v = as_values(self.values)
-        if np.any(v < 0):
-            day = int(np.flatnonzero(v < 0)[0]) + 1
-            raise NegativeValue(f"negative value {v[day - 1]} at day {day}")
+        require_nonnegative(v)
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

@@ -6,7 +6,8 @@ r = (i' . d) / ||i'||^2, and its minimum is ||d||^2 - (i' . d)^2 / ||i'||^2.
 The lag pair is the best over every integer a <= b <= min(max_lag, k-1)
 for k days: a lag of k days or more lands nothing inside the window, so the
 data cannot tell such pairs apart. It is found by a filter and a re-score.
-The filter reads every pair's minimum, with a bound on its rounding, off
+The filter reads every pair's minimum, with a bound on its rounding from
+the same sums over |d| (infections are counts, never negative), off
 summed-area tables of lag sums in O(k L + L^2) time and memory (L the lag
 bound, at most k-1). The per-pair path, the three owners of the
 formulas (shift_expectation, closed_form_ifr and error_metric), then scores
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FitResult, as_pair, error_metric, require_int
+from .domain import FitResult, as_pair, error_metric, require_int, require_nonnegative
 from .errors import DomainError, ZeroInfectionSeries, ZeroShiftedSeries
 from .lagmodel import LagDistribution, shift_expectation
 
@@ -69,8 +70,9 @@ def _surfaces(iv: np.ndarray, dv: np.ndarray, n: int):
     """Suffix sums over the lags l, l' < n of x_l = sum_j d[j] i[j-l] and of
     the lag Gram G[l, l'] = sum_j i[j-l] i[j-l'] (days j < k).
 
-    Returns XR[a] = sum_{l >= a} x_l and the summed-area table, flattened,
-    R[a * (n+1) + a'] = sum_{l >= a, l' >= a'} G[l, l'], zero-padded at
+    Returns XR[a] = sum_{l >= a} x_l, the same over |d| (XR bit for bit when
+    d >= 0) and the summed-area table, flattened,
+    R[a * (n+1) + a'] = sum_{l >= a, l' >= a'} G[l, l'], all zero-padded at
     index n. Summing from the long lags keeps a block's rounding relative to
     the Gram entries of the lags at and after it, which are the smaller ones.
     """
@@ -83,8 +85,9 @@ def _surfaces(iv: np.ndarray, dv: np.ndarray, n: int):
         return np.ndarray((n, k), buffer=np.concatenate([x, np.zeros(n)]),
                           strides=(x.itemsize, x.itemsize))
 
-    XR = np.zeros(n + 1)
-    XR[:n] = (later(dv) * iv).sum(axis=1)[::-1].cumsum()[::-1]  # x_l = sum_j d[j+l] i[j]
+    XR = np.zeros((2, n + 1))  # x_l = sum_j d[j+l] i[j], then over |d|
+    for row, x in zip(XR, (dv, abs(dv))):
+        row[:n] = (later(x) * iv).sum(axis=1)[::-1].cumsum()[::-1]
     # i[j + t] i[j], summed over j <= m in place: csum[t, m], so that
     # G[l, l'] = csum[|l - l'|, k - 1 - max(l, l')]
     csum = later(iv) * iv
@@ -94,12 +97,12 @@ def _surfaces(iv: np.ndarray, dv: np.ndarray, n: int):
                    - np.maximum(lags[:, None], lags))
     R = np.zeros((n + 1, n + 1))
     R[:n, :n] = gram[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
-    return XR, R.ravel()
+    return XR[0], XR[1], R.ravel()
 
 
 def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
     """Pairs (a, b) in lexicographic order and bounds lo <= m <= hi on the
-    error m the per-pair path computes for each.
+    error m the per-pair path computes for each, for infections iv >= 0.
 
     The pairs are a <= b <= n-1, n = min(max_lag, k-1) + 1, with
     a <= k-1-f, f the first day with non-zero infections: a larger a shifts
@@ -114,20 +117,13 @@ def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
     e = b + 1
     corners = (a * (n + 1) + a, a * (n + 1) + e, e * (n + 1) + a, e * (n + 1) + e)
 
-    def blocks(XR, R):
-        """Per pair: the block sums of x and of the Gram matrix."""
-        aa, ae, ea, ee = (np.take(R, c) for c in corners)
-        return np.take(XR, a) - np.take(XR, e), aa - ae - ea + ee
-
     with np.errstate(all="ignore"):
-        XR, R = _surfaces(iv, dv, n)
-        num, den = blocks(XR, R)
-        # the same sums over |i| and |d| bound every rounding error below
-        if np.all(iv >= 0) and np.all(dv >= 0):
-            XRa, Ra, num_abs, den_abs = XR, R, num, den
-        else:
-            XRa, Ra = _surfaces(abs(iv), abs(dv), n)
-            num_abs, den_abs = blocks(XRa, Ra)
+        XR, XRa, R = _surfaces(iv, dv, n)
+        aa, ae, ea, ee = (np.take(R, c) for c in corners)
+        den = aa - ae - ea + ee
+        num = np.take(XR, a) - np.take(XR, e)
+        # |d| bounds every rounding below; i >= 0 is its own absolute value
+        num_abs = np.take(XRa, a) - np.take(XRa, e)
         dd = float(np.sum(dv * dv))
         # g: the relative rounding of every sum here and in the per-pair path,
         # 8 times over; tiny: products that fall below the normal range
@@ -136,14 +132,13 @@ def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
         # the exact minimum dd - num^2 / den, with num and den known to within
         # err_num and err_den, lies in [dd (1-g) - q_hi, dd (1+g) - q_lo]
         err_num = g * np.take(XRa, a) + tiny
-        err_den = g * np.take(Ra, corners[0])
+        err_den = g * aa
         den_lo = den - err_den
         q_hi = (abs(num) + err_num) ** 2 / den_lo
         q_lo = np.maximum(abs(num) - err_num, 0.0) ** 2 / (den + err_den)
         # the per-pair path's own rounding, of its residual sum, its shifted
-        # series and its scaling; rho > 1 only where infections of both signs
-        # cancel
-        rho = (den_abs + err_den) / den_lo
+        # series and its scaling; with i >= 0, rho is only a shade over 1
+        rho = (den + err_den) / den_lo
         slack = (g * dd * (2 + 4 * np.sqrt(rho))
                  + g * g * ((num_abs + err_num) ** 2 / den_lo + dd) + tiny)
         lo = dd * (1 - g) - q_hi - slack
@@ -157,7 +152,7 @@ def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
 
 def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
     """Least-squares Uniform(a, b) lag and scaling over a <= b <= L,
-    L = min(max_lag, k-1) for k days.
+    L = min(max_lag, k-1) for k days; infections must be non-negative.
 
     Lags of k days or more land nothing inside the window, so the search
     never reaches past it. For each pair the scaling is the closed-form
@@ -176,6 +171,7 @@ def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
     all pairs.
     """
     iv, dv = as_pair(i, d)
+    require_nonnegative(iv)
     if not np.any(iv > 0):
         raise ZeroInfectionSeries("infection series has no positive entry")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FitResult, as_pair, require_int
+from .domain import FitResult, as_pair, require_int, require_nonnegative
 from .errors import DomainError, FitError, ZeroInfectionWindow
 from .fit import FitConfig, best_fit
 from .lagmodel import LagDistribution, shift_expectation_elongated
@@ -97,7 +97,7 @@ def _is_flat(deaths: np.ndarray) -> bool:
 
 
 def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalReport:
-    """Windowed fit with left-to-right residual-death carryover.
+    """Windowed fit on infections >= 0 with left-to-right residual-death carryover.
 
     Each window: subtract the previous window's residuals (by then the only
     candidate deaths in it) from its raw deaths, fit lag and rate on the
@@ -107,6 +107,7 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
     and near-flat death windows where the lag is poorly identified.
     """
     iv, dv = as_pair(i, d)
+    require_nonnegative(iv)
     k, w = len(iv), config.width
 
     starts = list(range(0, k, w))

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import DailySeries, Dataset, known_keys, require_int, require_number
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
 DEFAULT_ORIGIN = dt.date(2020, 3, 1)
@@ -39,8 +40,10 @@ class Regime:
             raise DomainError(
                 f"bad regime bounds [{self.start_day}, {self.end_day}]"
             )
+        require_number(ifr=self.ifr)
         if not 0.0 <= self.ifr <= 1.0:
             raise DomainError(f"regime ifr {self.ifr} outside [0, 1]")
+        object.__setattr__(self, "ifr", float(self.ifr))
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,10 @@ class Scenario:
         t = self.test_curve.values
         if np.any(t <= 0) or np.any(t > self.population):
             raise DomainError("test curve must lie in (0, population]")
-        if self.m_true <= 1.0:
-            raise DomainError(f"m_true must be > 1, got {self.m_true}")
+        require_number(m_true=self.m_true)
+        if not 1.0 < self.m_true <= sys.float_info.max:
+            raise DomainError(f"m_true must be finite and > 1, got {self.m_true}")
+        object.__setattr__(self, "m_true", float(self.m_true))
 
     def to_dict(self) -> dict:
         return {
@@ -94,38 +99,40 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """Inverse of to_dict; ConfigError for a missing key or a wrong shape."""
         known_keys(data, "scenario", ("label", "origin_day", "population", "m_true",
                                       "infections", "test_curve", "regimes"))
-        origin = dt.date.fromisoformat(data["origin_day"])
-        require_number(m_true=data["m_true"])
-        for r in data["regimes"]:
-            known_keys(r, "regime", ("start_day", "end_day", "ifr", "lag"))
-            known_keys(r["lag"], "lag", ("kind", "a", "b"))
-            require_number(ifr=r["ifr"])
-            kind = r["lag"].get("kind", "uniform")
-            if kind != "uniform":
-                raise DomainError(f"unsupported lag kind {kind!r}")
-        return cls(
-            infections=DailySeries(origin, data["infections"]),
-            regimes=tuple(
-                Regime(
-                    start_day=r["start_day"],
-                    end_day=r["end_day"],
-                    ifr=float(r["ifr"]),
-                    lag=LagDistribution(r["lag"]["a"], r["lag"]["b"]),
-                )
-                for r in data["regimes"]
-            ),
-            population=data["population"],
-            test_curve=DailySeries(origin, data["test_curve"]),
-            m_true=float(data["m_true"]),
-            label=data.get("label", "synthetic"),
-        )
+        try:
+            origin = dt.date.fromisoformat(data["origin_day"])
+            regimes = []
+            for r in data["regimes"]:
+                known_keys(r, "regime", ("start_day", "end_day", "ifr", "lag"))
+                known_keys(r["lag"], "lag", ("kind", "a", "b"))
+                kind = r["lag"].get("kind", "uniform")
+                if kind != "uniform":
+                    raise DomainError(f"unsupported lag kind {kind!r}")
+                regimes.append(Regime(r["start_day"], r["end_day"], r["ifr"],
+                                      LagDistribution(r["lag"]["a"], r["lag"]["b"])))
+            return cls(
+                infections=DailySeries(origin, data["infections"]),
+                regimes=regimes,
+                population=data["population"],
+                test_curve=DailySeries(origin, data["test_curve"]),
+                m_true=data["m_true"],
+                label=data.get("label", "synthetic"),
+            )
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad scenario: {type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """from_dict of a JSON file; ConfigError if it cannot be read or parsed."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
+        return cls.from_dict(data)
 
 
 def two_peak_curve(k: int, total: float, peaks=(0.18, 0.66),

@@ -14,6 +14,11 @@ from ifrlag import cli
 from ifrlag.cli import main
 from ifrlag.synth import default_scenario
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# child Pythons import the package from this checkout, installed or not
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
 K = 100
 WIDTH = 50
 IFRS = (0.006, 0.003)
@@ -219,6 +224,16 @@ def test_width_and_max_lag_overrides(workspace, tmp_path):
     assert all(w["lag_b"] <= 8 for w in report["windows"])
 
 
+def test_dropped_tail_is_a_note_on_stdout(workspace, tmp_path, capsys):
+    # 100 days in 45-day windows leave a 10-day tail, under min_trailing
+    cfg = _config_file(workspace, tmp_path, intervals={"width": 45, "min_trailing": 15})
+    assert main(["fit-intervals", "--config", cfg]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "note: trailing_window_dropped: days 91..100 (10 < 15)"
+    report = json.loads((tmp_path / "out/report.json").read_text())
+    assert [w["end_day"] for w in report["windows"]] == [45, 90]
+
+
 def test_zero_death_series_still_succeeds(workspace, tmp_path):
     root, _, config_path = workspace
     rows = (root / "sim/dataset.csv").read_text().splitlines()
@@ -392,6 +407,12 @@ def test_non_utf8_csv_exits_2(workspace, tmp_path, capsys):
     assert "error: CSV is not UTF-8" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_bytes(b'\xff{"max_lag": 5}')
+    assert main(["fit-intervals", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_negative_max_lag_override_exits_2(workspace, tmp_path, capsys):
     cfg = _config_file(workspace, tmp_path, max_lag=-1)
     assert main(["fit-intervals", "--config", cfg]) == 2
@@ -546,7 +567,7 @@ def test_module_entry_point(workspace):
     _, scenario_path, _ = workspace
     proc = subprocess.run(
         [sys.executable, "-m", "ifrlag", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
@@ -561,7 +582,8 @@ def test_closed_stdout_exits_0_without_traceback(workspace, tmp_path):
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "ifrlag", "fit-intervals", "--config", cfg],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=CHILD_ENV)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -573,6 +595,6 @@ def test_cli_import_skips_network_and_mail_modules():
     probe = ("import sys, ifrlag.cli; "
              "print(sorted(m for m in ('urllib.request', 'http.client', 'email') "
              "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=CHILD_ENV)
     assert proc.stdout.strip() == "[]"

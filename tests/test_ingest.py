@@ -117,6 +117,12 @@ def test_boundary_test_gap_is_unrepairable():
         load_dataset(raw, MAPPING, POLICY, 1_000_000, (MARCH, dt.date(2020, 3, 2)))
 
 
+def test_test_gap_without_any_observed_tests_is_unrepairable():
+    raw = csv_bytes([f"{day(1)},1,0,", f"{day(2)},2,0,", f"{day(3)},3,0,900"])
+    with pytest.raises(GapUnrepairable, match="tests column has no observed values"):
+        load_dataset(raw, MAPPING, POLICY, 1_000_000, (MARCH, dt.date(2020, 3, 2)))
+
+
 def test_gap_fill_error_policy():
     raw = csv_bytes([f"{day(1)},1,0,1000", f"{day(2)},2,0,", f"{day(3)},3,0,3000"])
     policy = RepairPolicy(test_gap_fill="error")

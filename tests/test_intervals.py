@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import bell
 from ifrlag.domain import DailySeries
-from ifrlag.errors import DomainError, ZeroInfectionWindow
+from ifrlag.errors import DomainError, ZeroInfectionWindow, ZeroShiftedSeries
 from ifrlag.fit import FitConfig, best_fit
 from ifrlag.intervals import (
     WARN_FIRST_WINDOW,
@@ -293,6 +293,14 @@ def test_zero_infection_window_is_an_error():
     d = np.ones(100)
     with pytest.raises(ZeroInfectionWindow, match="window 2"):
         fit_intervals(i, d, IntervalConfig(width=50))
+
+
+def test_window_fit_error_names_the_window():
+    # window 2's infections are so small that every shifted norm underflows
+    i = np.array([1e3] * 20 + [5e-324] * 20)
+    with pytest.raises(ZeroShiftedSeries,
+                       match=r"^window 2 \(days 21\.\.40\): every lag pair"):
+        fit_intervals(i, np.ones(40), IntervalConfig(width=20, min_trailing=10, max_lag=5))
 
 
 def test_windows_are_contiguous_and_nonoverlapping():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ifrlag.domain import DailySeries
-from ifrlag.errors import DomainError
+from ifrlag.errors import ConfigError, DomainError
 from ifrlag.infection import estimate_infections
 from ifrlag.lagmodel import LagDistribution
 from ifrlag.synth import (
@@ -159,6 +159,41 @@ def test_scenario_lag_kind_must_be_uniform():
     data["regimes"][1]["lag"]["kind"] = "lognormal"
     with pytest.raises(DomainError, match="lognormal"):
         Scenario.from_dict(data)
+
+
+@pytest.mark.parametrize("change", [
+    lambda data: data.pop("m_true"),
+    lambda data: data.update(regimes=5),
+], ids=["m_true_missing", "regimes_not_a_list"])
+def test_scenario_of_the_wrong_shape_is_a_config_error(change):
+    data = default_scenario(k=100, window=50, ifrs=(0.004, 0.002)).to_dict()
+    change(data)
+    with pytest.raises(ConfigError, match="bad scenario"):
+        Scenario.from_dict(data)
+
+
+def test_unreadable_scenario_file_is_a_config_error(tmp_path):
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "latin1.json").write_bytes(b'{"label": "\xe9"}')
+    for path in (tmp_path / "bad.json", tmp_path / "latin1.json",
+                 tmp_path / "missing.json"):
+        with pytest.raises(ConfigError, match="cannot read scenario"):
+            Scenario.from_json(path)
+
+
+def test_scenario_numbers_must_be_numbers():
+    i = DailySeries(DEFAULT_ORIGIN, np.ones(5))
+    t = DailySeries(DEFAULT_ORIGIN, np.full(5, 10.0))
+    lag = LagDistribution(0, 0)
+    with pytest.raises(DomainError, match="ifr must be a number"):
+        Regime(1, 5, "0.1", lag)
+    with pytest.raises(DomainError, match="m_true must be a number"):
+        Scenario(i, (Regime(1, 5, 0.1, lag),), 1000, t, m_true="3.3")
+    with pytest.raises(DomainError, match="m_true must be finite"):
+        Scenario(i, (Regime(1, 5, 0.1, lag),), 1000, t, m_true=10**400)
+    # both are stored as floats, an int included
+    sc = Scenario(i, (Regime(1, 5, 1, lag),), 1000, t, m_true=3)
+    assert (type(sc.regimes[0].ifr), type(sc.m_true)) == (float, float)
 
 
 def test_regimes_must_tile_the_period():
