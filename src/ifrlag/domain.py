@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,18 @@ def require_number(**fields) -> None:
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(f"{name} must be a number, got {value!r}")
+
+
+def as_exponent(name: str, value) -> float:
+    """value as a float, if it is a number in (1, largest float]; else DomainError.
+
+    The comparison runs before any float conversion, so an int past the
+    float range is rejected rather than overflowing.
+    """
+    require_number(**{name: value})
+    if not 1.0 < value <= sys.float_info.max:
+        raise DomainError(f"{name} must be finite and > 1, got {value}")
+    return float(value)
 
 
 def require_nonnegative(v: np.ndarray) -> None:
@@ -163,8 +176,9 @@ class AntibodyAnchor:
         require_int(day_index=self.day_index)
         if self.day_index < 1:
             raise DomainError(f"anchor day index {self.day_index} must be >= 1")
-        if not self.infected_count > 0:
-            raise DomainError("anchor infected count must be positive")
+        require_number(infected_count=self.infected_count)
+        if not 0 < self.infected_count <= sys.float_info.max:
+            raise DomainError("anchor infected count must be finite and positive")
 
 
 def anchor_from_study(
@@ -177,7 +191,9 @@ def anchor_from_study(
     if (fraction is None) == (count is None):
         raise DomainError("give exactly one of fraction or count")
     if fraction is not None:
+        require_number(fraction=fraction)
         count = fraction * dataset.population
+    require_number(count=count)
     if count > dataset.population:
         raise DomainError("anchor count exceeds population")
     return AntibodyAnchor(dataset.cases.day_index(study_date), float(count))

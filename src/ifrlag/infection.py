@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AntibodyAnchor, DailySeries, Dataset
+from .domain import AntibodyAnchor, DailySeries, Dataset, as_exponent, require_int
 from .errors import (
     CalibrationFailed,
     DegenerateSeries,
@@ -47,8 +47,7 @@ class CalibrationResult:
 
 def _infections_values(cases: np.ndarray, tests: np.ndarray, population: int,
                        m: float) -> np.ndarray:
-    if not (np.isfinite(m) and m > 1.0):
-        raise DomainError(f"exponent m must be finite and > 1, got {m}")
+    m = as_exponent("m", m)
     positive = cases > 0  # Dataset guarantees cases <= tests, so tests > 0 here
     out = np.zeros_like(cases)
     coverage = tests[positive] / float(population)
@@ -70,6 +69,7 @@ def estimate_infections(dataset: Dataset, m: float) -> DailySeries:
 
 def anchor_sum(dataset: Dataset, m: float, day_index: int) -> float:
     """Cumulative estimated infections through the given 1-based day."""
+    require_int(day_index=day_index)
     if not 1 <= day_index <= len(dataset):
         raise DomainError(f"day index {day_index} outside [1, {len(dataset)}]")
     values = _infections_values(

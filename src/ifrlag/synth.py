@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DailySeries, Dataset, known_keys, require_int, require_number
-from .errors import ConfigError, DomainError
+from .domain import (DailySeries, Dataset, as_exponent, known_keys, require_int,
+                     require_number)
+from .errors import ConfigError, DomainError, LengthMismatch
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
 DEFAULT_ORIGIN = dt.date(2020, 3, 1)
@@ -60,6 +60,8 @@ class Scenario:
         k = len(self.infections)
         if len(self.test_curve) != k:
             raise DomainError("test curve length differs from infections")
+        if self.test_curve.origin_day != self.infections.origin_day:
+            raise LengthMismatch("series origins differ")
         object.__setattr__(self, "regimes", tuple(self.regimes))
         expected_start = 1
         for r in self.regimes:
@@ -73,10 +75,7 @@ class Scenario:
         t = self.test_curve.values
         if np.any(t <= 0) or np.any(t > self.population):
             raise DomainError("test curve must lie in (0, population]")
-        require_number(m_true=self.m_true)
-        if not 1.0 < self.m_true <= sys.float_info.max:
-            raise DomainError(f"m_true must be finite and > 1, got {self.m_true}")
-        object.__setattr__(self, "m_true", float(self.m_true))
+        object.__setattr__(self, "m_true", as_exponent("m_true", self.m_true))
 
     def to_dict(self) -> dict:
         return {
@@ -196,37 +195,32 @@ def generate_deaths(scenario: Scenario, mode: str = "expected",
     expected: per-regime elongated expectation shift scaled by the regime
     rate, regimes summed. sampled: infections are rounded to integers, each
     draws a Bernoulli(ifr) death and each death an integer lag from the
-    regime's law; deterministic per seed (PCG64).
+    regime's law; deterministic per seed (PCG64), and a zero count or zero
+    rate draws nothing from the stream. Both modes fill one buffer padded by
+    the longest lag and cut it once, at day k: later deaths are unobserved.
     """
     k = len(scenario.infections)
     iv = scenario.infections.values
-    out = np.zeros(k)
+    out = np.zeros(k + max(r.lag.b for r in scenario.regimes))
     if mode == "expected":
         for r in scenario.regimes:
-            s, e = r.start_day - 1, r.end_day
-            full = r.ifr * shift_expectation_elongated(iv[s:e], r.lag)
-            keep = min(len(full), k - s)
-            out[s : s + keep] += full[:keep]
+            s = r.start_day - 1
+            full = r.ifr * shift_expectation_elongated(iv[s : r.end_day], r.lag)
+            out[s : s + len(full)] += full
     elif mode == "sampled":
+        require_int(seed=seed)
         if seed < 0:
             raise DomainError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         counts = np.rint(iv).astype(np.int64)
         for r in scenario.regimes:
             for day in range(r.start_day - 1, r.end_day):
-                n = int(counts[day])
-                if n == 0:
-                    continue
-                n_deaths = int(rng.binomial(n, r.ifr))
-                if n_deaths == 0:
-                    continue
+                n_deaths = rng.binomial(counts[day], r.ifr)
                 lags = rng.integers(r.lag.a, r.lag.b + 1, size=n_deaths)
-                landed = day + lags
-                landed = landed[landed < k]  # deaths past the period are unobserved
-                np.add.at(out, landed, 1.0)
+                out += np.bincount(day + lags, minlength=len(out))
     else:
         raise DomainError(f"unknown mode {mode!r}; use 'expected' or 'sampled'")
-    return DailySeries(scenario.infections.origin_day, out)
+    return DailySeries(scenario.infections.origin_day, out[:k])
 
 
 def generate_observables(scenario: Scenario, mode: str = "expected",
@@ -235,7 +229,9 @@ def generate_observables(scenario: Scenario, mode: str = "expected",
 
     Cases invert the coverage relation at m_true:
     cases[j] = infections[j] * (tests[j]/N) ** (1/m_true), so estimating
-    infections back at m_true reproduces the truth exactly.
+    infections back at m_true divides by the same factor and returns each
+    day's truth to within one ulp, not exactly: the product and the
+    quotient each round.
     """
     iv = scenario.infections.values
     coverage = scenario.test_curve.values / float(scenario.population)

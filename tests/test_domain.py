@@ -9,13 +9,16 @@ from conftest import ORIGIN, make_dataset
 from ifrlag.domain import (
     AntibodyAnchor,
     DailySeries,
+    Dataset,
     anchor_from_study,
     as_values,
     error_metric,
 )
 from ifrlag.fit import FitConfig, best_fit, closed_form_ifr
+from ifrlag.infection import anchor_sum, estimate_infections
 from ifrlag.intervals import IntervalConfig, fit_intervals
 from ifrlag.lagmodel import LagDistribution, shift_expectation, shift_expectation_elongated
+from ifrlag.synth import Regime, Scenario, default_scenario, generate_deaths
 from ifrlag.errors import (
     CasesExceedTests,
     DataError,
@@ -151,9 +154,43 @@ def test_non_finite_input_rejected(name, bad):
             fn(*series)
 
 
+def two_days():
+    return make_dataset(cases=[1, 2], tests=[10, 20])
+
+
+def one_day_series(origin=ORIGIN, value=1.0):
+    return DailySeries(origin, [value])
+
+
+NEXT_DAY = ORIGIN + dt.timedelta(days=1)
+
 # each ill-formed input and the one DataError subclass its owner raises
 BAD_INPUTS = {
     "series_nan": (lambda: DailySeries(ORIGIN, [1.0, np.nan]), DomainError),
+    "series_2d": (lambda: as_values(np.ones((2, 2))), DomainError),
+    "dataset_origins": (
+        lambda: Dataset(one_day_series(), one_day_series(NEXT_DAY),
+                        one_day_series(value=10.0), 1000), LengthMismatch),
+    "scenario_origins": (
+        lambda: Scenario(one_day_series(), (Regime(1, 1, 0.1, LagDistribution(0, 0)),),
+                         1000, one_day_series(NEXT_DAY, 10.0), 2.0), LengthMismatch),
+    # m past the float range or not a number: one rule, owned by domain.as_exponent
+    "estimate_infections_m_too_large": (
+        lambda: estimate_infections(two_days(), 10**400), DomainError),
+    "estimate_infections_m_string": (lambda: estimate_infections(two_days(), "3"),
+                                     DomainError),
+    "anchor_sum_m_too_large": (lambda: anchor_sum(two_days(), 10**400, 2), DomainError),
+    "anchor_sum_day_not_int": (lambda: anchor_sum(two_days(), 2.0, 1.5), DomainError),
+    "anchor_sum_day_bool": (lambda: anchor_sum(two_days(), 2.0, True), DomainError),
+    "generate_deaths_seed_not_int": (
+        lambda: generate_deaths(default_scenario(), "sampled", seed=1.5), DomainError),
+    "anchor_fraction_not_number": (
+        lambda: anchor_from_study(two_days(), ORIGIN, fraction="0.1"), DomainError),
+    "anchor_count_not_number": (
+        lambda: anchor_from_study(two_days(), ORIGIN, count="5"), DomainError),
+    "anchor_infected_count_not_number": (lambda: AntibodyAnchor(2, "5"), DomainError),
+    "anchor_infected_count_inf": (lambda: AntibodyAnchor(2, float("inf")),
+                                  DomainError),
     "fit_intervals_lengths": (lambda: fit_intervals(np.ones(10), np.ones(9)),
                               LengthMismatch),
     "best_fit_lengths": (lambda: best_fit(np.ones(10), np.ones(9)), LengthMismatch),

@@ -138,7 +138,8 @@ def test_missing_column_detected():
 
 @pytest.mark.parametrize(
     "row",
-    ["not-a-date,1,0,100", f"{day(1)},abc,0,100", f"{day(1)},1.5,0,100"],
+    ["not-a-date,1,0,100", f"{day(1)},abc,0,100", f"{day(1)},1.5,0,100",
+     f"{day(1)},1,inf,100"],
 )
 def test_unparseable_rows_name_the_line(row):
     raw = csv_bytes([row])
@@ -153,6 +154,8 @@ def test_unreadable_csv_is_an_unparseable_row():
     oversized = csv_bytes([f'{day(1)},1,0,"{"9" * 200_000}"'])
     with pytest.raises(UnparseableRow, match="line 2: field larger"):
         load_dataset(oversized, MAPPING, POLICY, 1_000_000, (MARCH, MARCH))
+    with pytest.raises(UnparseableRow, match="empty CSV: no header row"):
+        load_dataset(b"", MAPPING, POLICY, 1_000_000, (MARCH, MARCH))
 
 
 def test_duplicate_date_rejected():
@@ -303,3 +306,9 @@ def test_population_must_be_an_integer():
     raw = csv_bytes([f"{day(1)},10,1,1000"])
     with pytest.raises(DomainError, match="population must be an integer"):
         load_dataset(raw, MAPPING, POLICY, 1e7 + 0.5, (MARCH, MARCH))
+
+
+def test_reversed_date_range_is_a_config_error():
+    raw = csv_bytes([f"{day(1)},10,1,1000"])
+    with pytest.raises(ConfigError, match="precedes start"):
+        load_dataset(raw, MAPPING, POLICY, 1_000_000, (dt.date(2020, 3, 2), MARCH))

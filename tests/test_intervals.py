@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import bell
 from ifrlag.domain import DailySeries
-from ifrlag.errors import DomainError, ZeroInfectionWindow, ZeroShiftedSeries
+from ifrlag.errors import DomainError, FitError, ZeroInfectionWindow, ZeroShiftedSeries
 from ifrlag.fit import FitConfig, best_fit
 from ifrlag.intervals import (
     WARN_FIRST_WINDOW,
@@ -274,6 +274,9 @@ def test_short_trailing_window_dropped_with_warning():
     assert len(report.windows) == 2
     assert report.windows[-1].end_day == 100
     assert any(WARN_TRAILING_DROPPED in w for w in report.warnings)
+    # a series shorter than min_trailing drops its only window
+    with pytest.raises(FitError, match="length 5 leaves no fittable window"):
+        fit_intervals(np.ones(5), np.ones(5), IntervalConfig(width=50, min_trailing=10))
 
 
 def test_long_trailing_window_processed():

@@ -43,6 +43,23 @@ def test_identity_regime_reproduces_infections():
     np.testing.assert_allclose(d.values, sc.infections.values, rtol=1e-12)
 
 
+def test_sampled_stream_is_pinned():
+    # zero-count days, a zero-rate regime and lags that land past day k
+    # each draw nothing or are cut, and leave the PCG64 stream in place
+    sc = Scenario(
+        infections=DailySeries(DEFAULT_ORIGIN, [0] * 5 + [40] * 20 + [0] * 5),
+        regimes=(Regime(1, 10, 0.3, LagDistribution(0, 3)),
+                 Regime(11, 20, 0.0, LagDistribution(2, 5)),
+                 Regime(21, 30, 0.5, LagDistribution(4, 12))),
+        population=1000,
+        test_curve=DailySeries(DEFAULT_ORIGIN, [100] * 30),
+        m_true=2.0,
+    )
+    deaths = generate_deaths(sc, "sampled", seed=3).values
+    assert deaths.tolist() == [0, 0, 0, 0, 0, 5, 3, 6, 11, 12, 8, 9, 1, 0, 0,
+                               0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 9, 11, 12, 9]
+
+
 def test_sampled_death_total_concentrates():
     # 1e6 infections at ifr 0.005: sigma = sqrt(1e6 * 0.005 * 0.995) ~ 70.5
     # infections end 50 days before the period does, so no death is truncated
@@ -113,7 +130,9 @@ def test_observables_round_trip_through_estimator():
     sc = default_scenario(m_true=2.5)
     ds = generate_observables(sc)
     back = estimate_infections(ds, sc.m_true).values
-    np.testing.assert_allclose(back, sc.infections.values, rtol=1e-9)
+    iv = sc.infections.values
+    # a product and a quotient by the same factor: at most one ulp per day
+    assert np.all(np.abs(back - iv) <= np.spacing(iv))
 
 
 def test_full_pipeline_recovers_all_planted_parameters():
