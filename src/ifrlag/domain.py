@@ -49,6 +49,22 @@ def require_int(**fields) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def require_population(population) -> None:
+    """Raise DomainError unless population is an integer in [1, 2**53].
+
+    Up to 2**53 every integer is an exact float.
+    """
+    require_int(population=population)
+    if not 1 <= population <= 2**53:
+        raise DomainError(f"population {population} must be in [1, 2**53]")
+
+
+def require_label(label) -> None:
+    """Raise DomainError unless label, echoed in titles and reports, is a str."""
+    if not isinstance(label, str):
+        raise DomainError(f"label must be a string, got {label!r}")
+
+
 def known_keys(section: dict, name: str, keys) -> dict:
     """section, if it is a dict whose keys are all in keys; else ConfigError."""
     if not isinstance(section, dict):
@@ -126,9 +142,8 @@ class Dataset:
 
     Construction checks every invariant and raises a structured error naming
     the first violated one and its 1-based day index. Finite, non-negative
-    values are already guaranteed by DailySeries. The population is an
-    integer no larger than 2**53: up to there every integer is an exact
-    float.
+    values are already guaranteed by DailySeries. The population follows
+    require_population, and the label is a string.
     """
 
     cases: DailySeries
@@ -145,9 +160,8 @@ class Dataset:
             )
         if not (c.origin_day == d.origin_day == t.origin_day):
             raise LengthMismatch("series origins differ")
-        require_int(population=self.population)
-        if not 1 <= self.population <= 2**53:
-            raise DomainError(f"population {self.population} must be in [1, 2**53]")
+        require_population(self.population)
+        require_label(self.label)
         over_pop = np.flatnonzero(t.values > self.population)
         if len(over_pop):
             raise PopulationExceeded(

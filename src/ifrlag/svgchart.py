@@ -1,13 +1,13 @@
 """Minimal SVG polyline charts: axes, ticks, legend, optional day markers.
 
 Kept dependency-free on purpose; reports only need simple, deterministic
-line plots.
+line plots. Every <line> and <text> element is written by `_line` or
+`_text`, so each element's markup and escaping is decided in one place.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from collections.abc import Sequence
 
 MARGIN_LEFT = 72
 MARGIN_RIGHT = 24
@@ -19,18 +19,11 @@ HEIGHT = 430
 PALETTE = ("#4455cc", "#8833aa", "#e08020", "#202020", "#2a9060")
 
 
-def _escape(text: str) -> str:
-    """XML-escape &, < and >; & goes first so the other entities survive."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
 def _nice_step(span: float, target_ticks: int) -> float:
-    raw = span / max(target_ticks, 1)
-    power = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * power:
-            return mult * power
-    return 10.0 * power
+    """The first of 1, 2, 2.5, 5, 10 times a power of ten that reaches span/target."""
+    raw = span / target_ticks
+    power = 10.0 ** math.floor(math.log10(raw))
+    return next(m * power for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * power)
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -52,27 +45,41 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
+def _line(x1, y1, x2, y2, stroke: str, width: str, extra: str = "") -> str:
+    """A <line> element; coordinates and width are the text to print."""
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+            f'stroke-width="{width}"{extra}/>')
+
+
+def _text(x, y, size: int, text: str, anchor: str | None = "middle",
+          extra: str = "") -> str:
+    """A <text> element; no text-anchor if anchor is None.
+
+    text is XML-escaped, & first so the other entities survive.
+    """
+    at = f' text-anchor="{anchor}"' if anchor else ""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{x}" y="{y}"{at} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{text}</text>')
+
+
 def line_chart(
     title: str,
-    series: list[tuple[str, np.ndarray]],
-    y_label: str = "",
+    series: list[tuple[str, Sequence[float]]],
+    y_label: str,
     day_markers: tuple[int, ...] = (),
 ) -> str:
     """Render labelled day-indexed series (day 1..k) as an SVG document."""
     k = max(len(values) for _, values in series)
-    y_max = max(
-        (float(np.max(values)) for _, values in series if len(values)), default=1.0
-    )
-    y_min = min(
-        (min(0.0, float(np.min(values))) for _, values in series if len(values)),
-        default=0.0,
-    )
+    y_max = max(float(max(values)) for _, values in series)
+    y_min = min(min(0.0, float(min(values))) for _, values in series)
     if y_max <= y_min:
         y_max = y_min + 1.0
     y_max *= 1.05
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    bottom = MARGIN_TOP + plot_h
 
     def px(day: float) -> float:
         return MARGIN_LEFT + (day - 1) / max(k - 1, 1) * plot_w
@@ -84,61 +91,31 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
+        _text(f"{WIDTH / 2:.1f}", 24, 15, title),
     ]
 
     for tick in _ticks(y_min, y_max):
         y = py(tick)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{WIDTH - MARGIN_RIGHT}" '
-            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 6}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
-        )
+        parts.append(_line(MARGIN_LEFT, f"{y:.2f}", WIDTH - MARGIN_RIGHT, f"{y:.2f}",
+                           "#dddddd", "1"))
+        parts.append(_text(MARGIN_LEFT - 6, f"{y + 4:.2f}", 11, _fmt(tick), "end"))
     for tick in _ticks(1, k, target=8):
-        if tick < 1:
-            continue
-        x = px(tick)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{MARGIN_TOP + plot_h}" x2="{x:.2f}" '
-            f'y2="{MARGIN_TOP + plot_h + 4}" stroke="#202020" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{MARGIN_TOP + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
-        )
+        x = f"{px(tick):.2f}"
+        parts.append(_line(x, bottom, x, bottom + 4, "#202020", "1"))
+        parts.append(_text(x, bottom + 18, 11, _fmt(tick)))
 
     for day in day_markers:
-        x = px(day)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{MARGIN_TOP}" x2="{x:.2f}" '
-            f'y2="{MARGIN_TOP + plot_h}" stroke="#cc3333" stroke-width="1" '
-            f'stroke-dasharray="4,4"/>'
-        )
+        x = f"{px(day):.2f}"
+        parts.append(_line(x, MARGIN_TOP, x, bottom, "#cc3333", "1",
+                           ' stroke-dasharray="4,4"'))
 
     # axes on top of gridlines
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
-        f'y2="{MARGIN_TOP + plot_h}" stroke="#202020" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{py(0.0):.2f}" x2="{WIDTH - MARGIN_RIGHT}" '
-        f'y2="{py(0.0):.2f}" stroke="#202020" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 8}" '
-        'text-anchor="middle" font-family="sans-serif" font-size="12">day</text>'
-    )
-    if y_label:
-        cy = MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {cy:.1f})">{_escape(y_label)}</text>'
-        )
+    parts.append(_line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, bottom, "#202020", "1.5"))
+    y0 = f"{py(0.0):.2f}"
+    parts.append(_line(MARGIN_LEFT, y0, WIDTH - MARGIN_RIGHT, y0, "#202020", "1.5"))
+    parts.append(_text(f"{MARGIN_LEFT + plot_w / 2:.1f}", HEIGHT - 8, 12, "day"))
+    cy = f"{MARGIN_TOP + plot_h / 2:.1f}"
+    parts.append(_text(16, cy, 12, y_label, extra=f' transform="rotate(-90 16 {cy})"'))
 
     for idx, (label, values) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
@@ -151,14 +128,8 @@ def line_chart(
         )
         ly = MARGIN_TOP + 14 + 16 * idx
         lx = WIDTH - MARGIN_RIGHT - 150
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{_escape(label)}</text>'
-        )
+        parts.append(_line(lx, ly - 4, lx + 22, ly - 4, color, "2"))
+        parts.append(_text(lx + 28, ly, 11, label, anchor=None))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (DailySeries, Dataset, as_exponent, known_keys, require_int,
-                     require_number)
+                     require_label, require_number, require_population)
 from .errors import ConfigError, DomainError, LengthMismatch
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
@@ -56,10 +56,11 @@ class Scenario:
     label: str = "synthetic"
 
     def __post_init__(self):
-        require_int(population=self.population)
+        require_population(self.population)
+        require_label(self.label)
         k = len(self.infections)
         if len(self.test_curve) != k:
-            raise DomainError("test curve length differs from infections")
+            raise LengthMismatch("test curve length differs from infections")
         if self.test_curve.origin_day != self.infections.origin_day:
             raise LengthMismatch("series origins differ")
         object.__setattr__(self, "regimes", tuple(self.regimes))

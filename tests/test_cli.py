@@ -327,6 +327,8 @@ BAD_CONFIGS = {
         **cfg, "anchor": {**cfg["anchor"], "count": str(cfg["anchor"]["count"])}},
     "anchor_fraction_bool": lambda cfg: {
         **cfg, "anchor": {"date": cfg["anchor"]["date"], "fraction": True}},
+    "label_number": lambda cfg: {**cfg, "label": 5},
+    "label_null": lambda cfg: {**cfg, "label": None},
 }
 
 
@@ -369,6 +371,8 @@ BAD_SCENARIOS = {
     "m_true_string": lambda sc: {**sc, "m_true": str(sc["m_true"])},
     "top_level_unknown_key": lambda sc: {**sc, "m_ture": sc["m_true"]},
     "label_misspelt": lambda sc: {**sc, "lable": "x"},
+    "label_number": lambda sc: {**sc, "label": 5},
+    "label_null": lambda sc: {**sc, "label": None},
     "regime_unknown_key": lambda sc: _first_regime_with(
         sc, {**sc["regimes"][0], "ifrr": 0.5}),
     "lag_unknown_key": lambda sc: _first_regime_with(

@@ -174,6 +174,19 @@ BAD_INPUTS = {
     "scenario_origins": (
         lambda: Scenario(one_day_series(), (Regime(1, 1, 0.1, LagDistribution(0, 0)),),
                          1000, one_day_series(NEXT_DAY, 10.0), 2.0), LengthMismatch),
+    "scenario_test_curve_length": (
+        lambda: Scenario(one_day_series(), (Regime(1, 1, 0.1, LagDistribution(0, 0)),),
+                         1000, DailySeries(ORIGIN, [10.0, 10.0]), 2.0), LengthMismatch),
+    # one population rule for Dataset and Scenario: domain.require_population
+    "scenario_population_too_large": (
+        lambda: Scenario(one_day_series(), (Regime(1, 1, 0.1, LagDistribution(0, 0)),),
+                         10**20, one_day_series(value=10.0), 2.0), DomainError),
+    # a label is echoed in titles and reports, so it must be a string
+    "dataset_label_not_str": (
+        lambda: make_dataset(cases=[1], tests=[1], label=5), DomainError),
+    "scenario_label_not_str": (
+        lambda: Scenario(one_day_series(), (Regime(1, 1, 0.1, LagDistribution(0, 0)),),
+                         1000, one_day_series(value=10.0), 2.0, label=None), DomainError),
     # m past the float range or not a number: one rule, owned by domain.as_exponent
     "estimate_infections_m_too_large": (
         lambda: estimate_infections(two_days(), 10**400), DomainError),

@@ -12,7 +12,7 @@ import ifrlag
 from ifrlag import cli, svgchart, synth
 
 PUBLIC_NAMES = 28
-DEFAULTED_PARAMETERS = 30
+DEFAULTED_PARAMETERS = 29
 # option strings by subcommand ("ifrlag" is the top level), without -h/--help
 CLI_OPTIONS = {
     "ifrlag": ["--version"],
