@@ -45,12 +45,13 @@ class CalibrationResult:
     iterations: int
 
 
-def _infections_values(cases: np.ndarray, tests: np.ndarray, population: int,
-                       m: float) -> np.ndarray:
+def _infections(dataset: Dataset, m: float, days: int) -> np.ndarray:
+    """Infection estimates at exponent m for the first `days` days."""
     m = as_exponent("m", m)
+    cases, tests = dataset.cases.values[:days], dataset.tests.values[:days]
     positive = cases > 0  # Dataset guarantees cases <= tests, so tests > 0 here
     out = np.zeros_like(cases)
-    coverage = tests[positive] / float(population)
+    coverage = tests[positive] / float(dataset.population)
     out[positive] = cases[positive] / coverage ** (1.0 / m)
     return out
 
@@ -61,10 +62,7 @@ def estimate_infections(dataset: Dataset, m: float) -> DailySeries:
     Days with zero cases yield zero infections regardless of tests (avoids
     0/0); estimates dominate cases elementwise since tests <= N.
     """
-    values = _infections_values(
-        dataset.cases.values, dataset.tests.values, dataset.population, m
-    )
-    return DailySeries(dataset.cases.origin_day, values)
+    return DailySeries(dataset.cases.origin_day, _infections(dataset, m, len(dataset)))
 
 
 def anchor_sum(dataset: Dataset, m: float, day_index: int) -> float:
@@ -72,13 +70,7 @@ def anchor_sum(dataset: Dataset, m: float, day_index: int) -> float:
     require_int(day_index=day_index)
     if not 1 <= day_index <= len(dataset):
         raise DomainError(f"day index {day_index} outside [1, {len(dataset)}]")
-    values = _infections_values(
-        dataset.cases.values[:day_index],
-        dataset.tests.values[:day_index],
-        dataset.population,
-        m,
-    )
-    return float(values.sum())
+    return float(_infections(dataset, m, day_index).sum())
 
 
 def calibrate_m(dataset: Dataset, anchor: AntibodyAnchor) -> CalibrationResult:
@@ -89,8 +81,9 @@ def calibrate_m(dataset: Dataset, anchor: AntibodyAnchor) -> CalibrationResult:
     stop early on weakly m-sensitive series). Deterministic.
     """
     ell, target = anchor.day_index, anchor.infected_count
-    if ell > len(dataset):
-        raise DomainError(f"anchor day {ell} past end of dataset ({len(dataset)})")
+    m_lo, m_hi = M_LO_DEFAULT, M_HI_DEFAULT
+    sum_lo = anchor_sum(dataset, m_lo, ell)  # rejects an anchor day past the end
+    sum_hi = anchor_sum(dataset, m_hi, ell)
 
     cases_through = float(dataset.cases.values[:ell].sum())
     if target <= cases_through:
@@ -98,10 +91,6 @@ def calibrate_m(dataset: Dataset, anchor: AntibodyAnchor) -> CalibrationResult:
             f"anchor {target:g} <= cumulative cases {cases_through:g} through day "
             f"{ell}; estimated infections can never be fewer than cases"
         )
-
-    m_lo, m_hi = M_LO_DEFAULT, M_HI_DEFAULT
-    sum_lo = anchor_sum(dataset, m_lo, ell)
-    sum_hi = anchor_sum(dataset, m_hi, ell)
     if abs(sum_lo - sum_hi) <= 1e-12 * max(sum_lo, 1.0):
         raise DegenerateSeries(
             "anchor sum does not vary with m (full test coverage on all case days)"

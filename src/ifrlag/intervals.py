@@ -3,10 +3,11 @@
 Deaths observed in a window come from two sources: infections inside the
 window ("current" deaths) and late deaths of infections from the previous
 window ("residual" deaths). Windows are processed left to right; each
-window's fit runs on its deaths minus the incoming residuals, and its own
-outgoing residuals (the elongated-shift tail past the window end, scaled by
-the fitted rate) are handed to the next window. best_fit never reaches past
-its window, so residuals span at most one boundary.
+window's fit runs on its deaths minus the incoming residuals. Its elongated
+shift, scaled by the fitted rate, is then placed whole from its start day in
+one candidate-death buffer padded by k - 1 days, which is cut once, at day k;
+the shift's tail past the window end is the window's residual_out. best_fit
+never reaches past its window, so residuals span at most one boundary.
 
 The first window necessarily attributes every death to its own infections,
 which tends to overestimate its rate; it is flagged rather than corrected.
@@ -123,7 +124,8 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
         raise FitError(f"series of length {k} leaves no fittable window")
 
     fit_config = FitConfig(config.max_lag)
-    candidate = np.zeros(k)
+    # padded by the longest lag a window can fit (k - 1 days), cut once at k
+    candidate = np.zeros(2 * k)
     windows: list[WindowResult] = []
     for n, s in enumerate(starts, start=1):
         e = min(s + w, k)
@@ -133,7 +135,7 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
             warnings.append(WARN_FIRST_WINDOW)
 
         adjusted = dv[s:e] - candidate[s:e]
-        if windows and len(windows[-1].residual_out) > e - s:
+        if windows and windows[-1].fit.lag_b > e - s:
             warnings.append(WARN_RESIDUAL_OVERFLOW)
         if np.any(adjusted < 0):
             warnings.append(WARN_NEGATIVE_ADJUSTED)
@@ -153,21 +155,18 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
         if fit.ifr < 0:
             warnings.append(WARN_NEGATIVE_IFR)
 
-        # the scaled elongated shift: current deaths, then lag_b residual days,
-        # placed from the window start and cut at the last day
+        # the scaled elongated shift: current deaths, then lag_b residual days
         full = fit.ifr * shift_expectation_elongated(
             i_win, LagDistribution(fit.lag_a, fit.lag_b)
         )
-        residual_out = full[len(i_win) :]
-        keep = min(len(full), k - s)
-        candidate[s : s + keep] += full[:keep]
+        candidate[s : s + len(full)] += full
 
         windows.append(
             WindowResult(
                 start_day=s + 1,
                 end_day=e,
                 fit=fit,
-                residual_out=residual_out,
+                residual_out=full[e - s :],
                 adjusted_deaths=adjusted,
                 warnings=tuple(warnings),
             )
@@ -175,6 +174,6 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
 
     return IntervalReport(
         windows=tuple(windows),
-        candidate_deaths=candidate,
+        candidate_deaths=candidate[:k],
         warnings=tuple(report_warnings),
     )

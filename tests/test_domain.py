@@ -187,6 +187,12 @@ BAD_INPUTS = {
     "scenario_label_not_str": (
         lambda: Scenario(one_day_series(), (Regime(1, 1, 0.1, LagDistribution(0, 0)),),
                          1000, one_day_series(value=10.0), 2.0, label=None), DomainError),
+    "regime_start_day_zero": (lambda: Regime(0, 5, 0.1, LagDistribution(0, 0)),
+                              DomainError),
+    "regime_end_before_start": (lambda: Regime(5, 4, 0.1, LagDistribution(0, 0)),
+                                DomainError),
+    "default_scenario_too_few_rates": (
+        lambda: default_scenario(k=250, window=50, ifrs=(0.01,) * 4), DomainError),
     # m past the float range or not a number: one rule, owned by domain.as_exponent
     "estimate_infections_m_too_large": (
         lambda: estimate_infections(two_days(), 10**400), DomainError),

@@ -186,6 +186,23 @@ def test_bad_values_outside_range_are_ignored():
         load_dataset(raw, MAPPING, POLICY, 1_000_000, (MARCH, dt.date(2020, 3, 2)))
 
 
+def test_blank_records_are_skipped():
+    # a blank line, a whitespace-only line and a row of empty cells are not
+    # days: they change neither the series nor the repair log
+    rows = [f"{day(1)},10,1,1000", f"{day(2)},20,2,", f"{day(4)},40,4,4000"]
+    with_blanks = rows[:1] + ["", "   ", ",,,"] + rows[1:]
+    date_range = (MARCH, dt.date(2020, 3, 4))
+    ds, log = load_dataset(csv_bytes(rows), MAPPING, POLICY, 1_000_000, date_range)
+    ds_b, log_b = load_dataset(csv_bytes(with_blanks), MAPPING, POLICY, 1_000_000,
+                               date_range)
+    for name in ("cases", "deaths", "tests"):
+        np.testing.assert_array_equal(getattr(ds_b, name).values,
+                                      getattr(ds, name).values)
+    assert ds_b.cases.origin_day == ds.cases.origin_day
+    assert log_b == log
+    assert len(log) == 4  # tests on day 2; cases, deaths and tests on day 3
+
+
 def test_short_rows_tolerated_past_mapped_columns():
     # trailing unmapped cells may be absent; mapped ones may not
     raw = csv_bytes([f"{day(1)},10,1,1000", f"{day(2)},20,0"],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -150,6 +152,23 @@ def test_candidate_deaths_sum_all_elongated_shifts(k, trailing):
         expected[s : s + len(full)] += full
     np.testing.assert_allclose(report.candidate_deaths, expected[:k],
                                rtol=1e-12, atol=1e-12 * d.max())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_candidate_deaths_equal_expected_deaths_of_the_fitted_regimes(seed):
+    # the two death writers, fit_intervals and generate_deaths, place the same
+    # scaled shifts in the same order: the fitted windows, replayed as regimes
+    # of the criterion-7 scenario, give the candidate deaths bit for bit
+    scenario = default_scenario(total_infections=1e8, population=500_000_000)
+    iv = scenario.infections.values
+    deaths = generate_deaths(scenario, "sampled", seed=seed).values
+    report = fit_intervals(iv, deaths, IntervalConfig(width=50))
+    fitted = replace(scenario, regimes=tuple(
+        Regime(w.start_day, w.end_day, w.fit.ifr,
+               LagDistribution(w.fit.lag_a, w.fit.lag_b))
+        for w in report.windows))
+    assert np.array_equal(report.candidate_deaths,
+                          generate_deaths(fitted, "expected").values)
 
 
 def test_per_window_mass_accounting():

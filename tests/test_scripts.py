@@ -2,6 +2,8 @@
 import csv
 import datetime as dt
 import importlib.util
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +17,42 @@ from ifrlag.synth import Regime, Scenario, generate_deaths, two_peak_curve
 
 REPO = Path(__file__).resolve().parent.parent
 SCRIPTS = REPO / "scripts"
+# child Pythons import the package from this checkout, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
 
 
-def run_script(name, *args, cwd=None):
+def run_script(name, *args, root=REPO):
+    """Run root/scripts/name from root."""
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
-        capture_output=True, text=True, cwd=cwd or REPO,
+        [sys.executable, str(root / "scripts" / name), *args],
+        capture_output=True, text=True, cwd=root, env=CHILD_ENV,
     )
+
+
+def checkout_files():
+    """Size and mtime of every file under the checkout's data/ and out/."""
+    return {str(p.relative_to(REPO)): (p.stat().st_size, p.stat().st_mtime_ns)
+            for top in ("data", "out") for p in sorted((REPO / top).rglob("*"))}
+
+
+@pytest.fixture
+def reproduction_copy(tmp_path):
+    """The reproduction script and configs, copied beside an empty data/.
+
+    The script writes data/ and out/ next to its own scripts/ directory, so
+    running the copy leaves the checkout as it was.
+    """
+    root = tmp_path / "repo"
+    (root / "scripts").mkdir(parents=True)
+    (root / "configs").mkdir()
+    (root / "data").mkdir()
+    shutil.copy(SCRIPTS / "reproduce_published.py", root / "scripts")
+    for config in (REPO / "configs").glob("*.json"):
+        shutil.copy(config, root / "configs")
+    before = checkout_files()
+    yield root
+    assert checkout_files() == before
 
 
 def test_demo_recovers_planted_parameters(tmp_path):
@@ -67,28 +98,25 @@ def us_like_snapshot(path):
     return ifrs
 
 
-def test_reproduction_script_on_planted_snapshot(tmp_path):
-    split_target = REPO / "data" / "united_states.csv"
-    if split_target.exists():
-        pytest.skip("data/united_states.csv already present; not overwriting")
+def test_reproduction_script_on_planted_snapshot(tmp_path, reproduction_copy):
     snapshot = tmp_path / "snapshot.csv"
     us_like_snapshot(snapshot)
-    try:
-        proc = run_script(
-            "reproduce_published.py", "--snapshot", str(snapshot),
-            "--countries", "united_states",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "=== United States ===" in proc.stdout
-        assert "published m: 3.3   this run: 3.30" in proc.stdout
-        assert "this run 0.68%" in proc.stdout
-        assert "this run 0.24%" in proc.stdout
-    finally:
-        split_target.unlink(missing_ok=True)
+    proc = run_script(
+        "reproduce_published.py", "--snapshot", str(snapshot),
+        "--countries", "united_states", root=reproduction_copy,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "=== United States ===" in proc.stdout
+    assert "published m: 3.3   this run: 3.30" in proc.stdout
+    assert "this run 0.68%" in proc.stdout
+    assert "this run 0.24%" in proc.stdout
+    assert (reproduction_copy / "data/united_states.csv").exists()
+    assert (reproduction_copy / "out/united_states/report.json").exists()
 
 
-def test_reproduction_script_skips_missing_countries():
-    proc = run_script("reproduce_published.py", "--countries", "denmark")
+def test_reproduction_script_skips_missing_countries(reproduction_copy):
+    proc = run_script("reproduce_published.py", "--countries", "denmark",
+                      root=reproduction_copy)
     assert proc.returncode == 0, proc.stderr
     assert "skipping denmark" in proc.stdout
 
