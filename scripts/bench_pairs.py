@@ -3,10 +3,11 @@
 
 For each set WORKLOAD:SEED:PAIRS, runs `perfbench/run.py` (unmodified) in
 both checkouts PAIRS times, alternating which side runs first, then, once per
-workload, one `--trace 1` run per side. Every run lasts BENCHMARK.json's
-`run_seconds`. Writes every run's end-to-end metrics, each side's median and
-quartiles, the fraction of pairs the change wins and the per-layer metrics
-of the traced runs to one JSON file.
+workload, TRACED_RUNS `--trace 1` runs per side, alternating the same way.
+Every run lasts BENCHMARK.json's `run_seconds`. Writes every run's end-to-end
+metrics, each side's median and quartiles, the fraction of pairs the change
+wins and, per side, every traced run's value of each per-layer metric with
+their median to one JSON file.
 
     python scripts/bench_pairs.py --parent ../parent --change . \\
         --set cli_cold:0:10 --set window_sweep:0:10 --out BENCH_11.json
@@ -31,6 +32,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACED_RUNS = 3  # per side and workload: one traced run is one sample
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -82,6 +84,28 @@ def _perfbench(checkout: Path, workload: str, seed: int, seconds: float,
             "failed": result["failed"], "metrics": metrics}
 
 
+def _orders(n: int):
+    """The side order of each of n rounds: parent first, then change first."""
+    return [SIDES if k % 2 == 0 else SIDES[::-1] for k in range(n)]
+
+
+def _traced(checkouts: dict, workload: str, seed: int, seconds: float) -> dict:
+    """Per side, each per-layer metric's values over TRACED_RUNS alternating
+    `--trace 1` runs and their median (a metric a run lacks is left out)."""
+    runs = {side: [] for side in SIDES}
+    for order in _orders(TRACED_RUNS):
+        for side in order:
+            runs[side].append(_perfbench(checkouts[side], workload, seed, seconds,
+                                         1)["metrics"])
+    out = {"seed": seed, "seconds": seconds}
+    for side, metrics in runs.items():
+        out[side] = {}
+        for name in dict.fromkeys(n for m in metrics for n in m):
+            values = [m[name] for m in metrics if name in m]
+            out[side][name] = {"values": values, "median": statistics.median(values)}
+    return out
+
+
 def _identity(checkout: Path) -> dict:
     """The git commit (with a dirty flag) and a digest of src/ifrlag/*.py."""
     digest = hashlib.sha256()
@@ -114,8 +138,7 @@ def main() -> int:
         workload, seed, n = item.split(":")
         seed, n = int(seed), int(n)
         pairs = []
-        for k in range(n):
-            order = SIDES if k % 2 == 0 else SIDES[::-1]
+        for k, order in enumerate(_orders(n)):
             runs = {side: _perfbench(checkouts[side], workload, seed, seconds, 0)
                     for side in order}
             pairs.append({"first": order[0], **runs})
@@ -129,11 +152,7 @@ def main() -> int:
                                  spec),
         })
         if workload not in traced:
-            traced[workload] = {
-                "seed": seed, "seconds": seconds,
-                **{side: _perfbench(checkouts[side], workload, seed, seconds,
-                                    1)["metrics"]
-                   for side in SIDES}}
+            traced[workload] = _traced(checkouts, workload, seed, seconds)
 
     args.out.write_text(json.dumps({
         "host": {"nproc": len(os.sched_getaffinity(0)), "machine": platform.machine(),

@@ -6,10 +6,10 @@ r = (i' . d) / ||i'||^2, and its minimum is ||d||^2 - (i' . d)^2 / ||i'||^2.
 The lag pair is the best over every integer a <= b <= min(max_lag, k-1)
 for k days: a lag of k days or more lands nothing inside the window, so the
 data cannot tell such pairs apart. It is found by a filter and a re-score.
-The filter reads every pair's minimum, with a bound on its rounding from
-the same sums over |d| (infections are counts, never negative), off
-summed-area tables of lag sums in O(k L + L^2) time and memory (L the lag
-bound, at most k-1). The per-pair path, the three owners of the
+The filter reads every pair's minimum off summed-area tables of lag sums in
+O(k L + L^2) time and memory (L the lag bound, at most k-1), with a bound
+on its rounding from the deaths' norm by Cauchy-Schwarz (infections are
+counts, never negative). The per-pair path, the three owners of the
 formulas (shift_expectation, closed_form_ifr and error_metric), then scores
 only the pairs whose interval reaches the lowest upper bound, so the result
 is the exhaustive per-pair search's, bit for bit.
@@ -70,11 +70,11 @@ def _surfaces(iv: np.ndarray, dv: np.ndarray, n: int):
     """Suffix sums over the lags l, l' < n of x_l = sum_j d[j] i[j-l] and of
     the lag Gram G[l, l'] = sum_j i[j-l] i[j-l'] (days j < k).
 
-    Returns XR[a] = sum_{l >= a} x_l, the same over |d| (XR bit for bit when
-    d >= 0) and the summed-area table, flattened,
-    R[a * (n+1) + a'] = sum_{l >= a, l' >= a'} G[l, l'], all zero-padded at
-    index n. Summing from the long lags keeps a block's rounding relative to
-    the Gram entries of the lags at and after it, which are the smaller ones.
+    Returns XR[a] = sum_{l >= a} x_l and the summed-area table, flattened,
+    R[a * (n+1) + a'] = sum_{l >= a, l' >= a'} G[l, l'], both zero-padded at
+    index n. Summed from the long lags, with i >= 0, R[a, a] rounds within
+    g R[a, a] and XR[a] within g sum_j |d[j]| S_a[j] <= g sqrt(dd R[a, a])
+    (Cauchy-Schwarz), S_a = sum_{l >= a} shift_l(i), g as in _error_bounds.
     """
     k = len(iv)
 
@@ -85,9 +85,7 @@ def _surfaces(iv: np.ndarray, dv: np.ndarray, n: int):
         return np.ndarray((n, k), buffer=np.concatenate([x, np.zeros(n)]),
                           strides=(x.itemsize, x.itemsize))
 
-    XR = np.zeros((2, n + 1))  # x_l = sum_j d[j+l] i[j], then over |d|
-    for row, x in zip(XR, (dv, abs(dv))):
-        row[:n] = (later(x) * iv).sum(axis=1)[::-1].cumsum()[::-1]
+    XR = np.append((later(dv) * iv).sum(axis=1)[::-1].cumsum()[::-1], 0.0)
     # i[j + t] i[j], summed over j <= m in place: csum[t, m], so that
     # G[l, l'] = csum[|l - l'|, k - 1 - max(l, l')]
     csum = later(iv) * iv
@@ -97,18 +95,28 @@ def _surfaces(iv: np.ndarray, dv: np.ndarray, n: int):
                    - np.maximum(lags[:, None], lags))
     R = np.zeros((n + 1, n + 1))
     R[:n, :n] = gram[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
-    return XR[0], XR[1], R.ravel()
+    return XR, R.ravel()
 
 
 def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
-    """Pairs (a, b) in lexicographic order and bounds lo <= m <= hi on the
-    error m the per-pair path computes for each, for infections iv >= 0.
+    """Pairs (a, b) in lexicographic order and bounds lo <= err <= hi on the
+    error err the per-pair path computes for each, for infections iv >= 0.
 
     The pairs are a <= b <= n-1, n = min(max_lag, k-1) + 1, with
     a <= k-1-f, f the first day with non-zero infections: a larger a shifts
-    every infection past the window, which the per-pair path skips. A pair
-    whose surface value may have under- or overflowed gets lo = -inf,
-    hi = inf.
+    every infection past the window, which the per-pair path skips.
+
+    With S = sum_{l=a}^{b} shift_l(i) the exact error is dd - (S.d)^2 / S.S,
+    and i >= 0 gives S.S <= aa = R[a, a]. The surface has den = S.S within
+    g aa and num = S.d within g sqrt(dd aa) (see _surfaces), g bounding the
+    relative rounding of any sum here or in the per-pair path 8 times over.
+    As (S.d)^2 <= dd S.S (Cauchy-Schwarz), num^2 / den is within
+    4 g dd aa / den_lo of (S.d)^2 / S.S, den_lo = den - g aa; dd and the
+    per-pair path round within g dd. So lo, hi = dd - num^2 / den -/+ margin
+    with margin = g dd (8 + 4 aa / den_lo). They are -inf and inf instead
+    where den_lo <= n^2 2^-900 (the per-pair squared norm, (b-a+1)^2 <= n^2
+    times smaller, may underflow), where dd <= 2^-900 (so may products with
+    d; all-zero deaths tie every pair) or where either side is not finite.
     """
     k = len(iv)
     n = min(max_lag, k - 1) + 1
@@ -118,36 +126,18 @@ def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
     corners = (a * (n + 1) + a, a * (n + 1) + e, e * (n + 1) + a, e * (n + 1) + e)
 
     with np.errstate(all="ignore"):
-        XR, XRa, R = _surfaces(iv, dv, n)
+        XR, R = _surfaces(iv, dv, n)
         aa, ae, ea, ee = (np.take(R, c) for c in corners)
         den = aa - ae - ea + ee
         num = np.take(XR, a) - np.take(XR, e)
-        # |d| bounds every rounding below; i >= 0 is its own absolute value
-        num_abs = np.take(XRa, a) - np.take(XRa, e)
         dd = float(np.sum(dv * dv))
-        # g: the relative rounding of every sum here and in the per-pair path,
-        # 8 times over; tiny: products that fall below the normal range
         g = 8 * 2.0**-53 * (k + 2 * n + 10)
-        tiny = 8 * (k + 2 * n + 10) * 2.0**-1022
-        # the exact minimum dd - num^2 / den, with num and den known to within
-        # err_num and err_den, lies in [dd (1-g) - q_hi, dd (1+g) - q_lo]
-        err_num = g * np.take(XRa, a) + tiny
-        err_den = g * aa
-        den_lo = den - err_den
-        q_hi = (abs(num) + err_num) ** 2 / den_lo
-        q_lo = np.maximum(abs(num) - err_num, 0.0) ** 2 / (den + err_den)
-        # the per-pair path's own rounding, of its residual sum, its shifted
-        # series and its scaling; with i >= 0, rho is only a shade over 1
-        rho = (den + err_den) / den_lo
-        slack = (g * dd * (2 + 4 * np.sqrt(rho))
-                 + g * g * ((num_abs + err_num) ** 2 / den_lo + dd) + tiny)
-        lo = dd * (1 - g) - q_hi - slack
-        hi = dd * (1 + g) - q_lo + slack
-        # the per-pair path's squared norm is (b-a+1)^2 <= n^2 times smaller
-        # than den: this far from underflow, it comes out non-zero
-        safe = ((den_lo > n**2 * 2.0**-900)
-                & np.isfinite(lo) & np.isfinite(hi))
-    return a, b, np.where(safe, lo, -np.inf), np.where(safe, hi, np.inf)
+        den_lo = den - g * aa
+        m = dd - num * (num / den)  # num * num may fall below the float range
+        margin = g * dd * (8 + 4 * aa / den_lo)
+        safe = ((den_lo > n**2 * 2.0**-900) & (dd > 2.0**-900)
+                & np.isfinite(m) & np.isfinite(margin))
+    return a, b, np.where(safe, m - margin, -np.inf), np.where(safe, m + margin, np.inf)
 
 
 def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:

@@ -251,11 +251,57 @@ def fit_cases(draw):
 @example((np.array([1e-3, 34.0]), np.array([1e-3, 34.0]), FitConfig(max_lag=1)))
 # the same near-tie with negative deaths (a negative IFR)
 @example((np.array([1e-3, 34.0]), np.array([-1e-3, -34.0]), FitConfig(max_lag=1)))
+# U(1, 2) fits best, but the square of its lag sum num, about 1e-340, falls
+# below the float range
+@example((np.array([1e-100, 0.0, 1.0]), np.array([0.0, 1e-70, 5e-71]),
+          FitConfig(max_lag=2)))
+# deaths so small that dd and every product with d fall below the normal
+# range, where rounding is no longer relative
+@example((np.array([0.004, 4.56]), np.array([2.7e-158, 0.0]), FitConfig(max_lag=1)))
+# Gram entries below the normal range: U(0, 0)'s den is far off, and U(0, 1)
+# is re-scored in its place
+@example((np.array([1e-167, 1e-159]), np.ones(2), FitConfig(max_lag=1)))
 def test_best_fit_equals_per_pair_search(case):
     # best_fit searches no lag of k days or more, whatever max_lag is
     i, d, config = case
     capped = FitConfig(min(config.max_lag, len(i) - 1))
     assert _outcome(best_fit, i, d, config) == _outcome(loop_best_fit, i, d, capped)
+
+
+def bound_cases():
+    """(i, d, max_lag): windows of up to 250 days with max_lag up to 249,
+    infections a noisy bell after a zero lead, deaths signed, non-negative,
+    integer or planted at a pair; then the underflow case above, and a
+    600-day window whose U(0, 0) fits exactly (error 0), while its surface
+    value is about 12 g dd off: a margin without the aa / den term misses it."""
+    rng = np.random.default_rng(2021)
+    for k, max_lag in ((250, 249), (250, 40), (120, 119), (30, 35), (5, 4)):
+        lead = int(rng.integers(0, k // 4 + 1))
+        i = np.concatenate([np.zeros(lead), bell(k - lead) * rng.uniform(0.5, 1.5, k - lead)])
+        a = int(rng.integers(0, 8))
+        lag = LagDistribution(a, a + int(rng.integers(0, 8)))
+        yield i, rng.uniform(-10, 10, k), max_lag
+        yield i, rng.uniform(0, 10, k), max_lag
+        yield i, rng.integers(-2, 30, k).astype(float), max_lag
+        yield i, rng.uniform(1e-3, 1e-2) * shift_expectation(i, lag), max_lag
+    yield np.array([1e-100, 0.0, 1.0]), np.array([0.0, 1e-70, 5e-71]), 2
+    i = 1 + np.random.default_rng(2).uniform(0, 1, 600)
+    yield i, i / 2, 599
+
+
+def test_error_bounds_contain_every_pair():
+    # every pair of a short window; of a long one, each one-lag pair (whose
+    # aa / den is largest) and 300 more, drawn once
+    rng = np.random.default_rng(7)
+    for i, d, max_lag in bound_cases():
+        a, b, lo, hi = fit_module._error_bounds(i, d, max_lag)
+        pairs = np.arange(len(a))
+        if len(pairs) > 600:
+            pairs = np.union1d(pairs[a == b], rng.choice(pairs, 300, replace=False))
+        for p in pairs:
+            fit = fit_module._score(i, d, int(a[p]), int(b[p]))
+            if fit is not None:
+                assert lo[p] <= fit.error <= hi[p], (len(i), max_lag, a[p], b[p])
 
 
 # the formulas whose rounding follows the BLAS kernel, and the one function

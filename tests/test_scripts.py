@@ -2,6 +2,7 @@
 import csv
 import datetime as dt
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -121,10 +122,15 @@ def test_reproduction_script_skips_missing_countries(reproduction_copy):
     assert "skipping denmark" in proc.stdout
 
 
-def test_bench_pairs_summary():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_pairs_summary():
+    bench = load_bench_pairs()
     metrics = [{"name": "op_s_p50", "better": "lower", "bound": 0.24},
                {"name": "ops_per_s", "better": "higher", "bound": 0.24}]
     pairs = [
@@ -147,3 +153,33 @@ def test_bench_pairs_summary():
     rate = out["ops_per_s"]
     assert (rate["wins"], rate["win_frac"], rate["gain"]) == (0, 0.0, False)
     assert not rate["within_bound"]
+
+
+def test_bench_pairs_alternates_traced_runs(monkeypatch, tmp_path):
+    bench = load_bench_pairs()
+    end_to_end = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def perfbench(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, trace))
+        value = float(len(calls))
+        names = ["fit.best_fit.s"] if trace else end_to_end
+        return {"correct": 1, "attempted": 1, "failed": 0,
+                "metrics": {name: value for name in names}}
+
+    monkeypatch.setattr(bench, "_perfbench", perfbench)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path / "change")
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--parent", str(tmp_path / "parent"), "--change",
+        str(tmp_path / "change"), "--set", "window_sweep:0:2", "--out", str(out)])
+    assert bench.main() == 0
+    # two pairs, then three traced runs per side, each round alternating
+    assert calls == [("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
+                     ("parent", 1), ("change", 1), ("change", 1), ("parent", 1),
+                     ("parent", 1), ("change", 1)]
+    traced = json.loads(out.read_text())["traces"]["window_sweep"]
+    assert traced["parent"] == {"fit.best_fit.s": {"values": [5.0, 8.0, 9.0], "median": 8.0}}
+    assert traced["change"] == {"fit.best_fit.s": {"values": [6.0, 7.0, 10.0], "median": 7.0}}
