@@ -42,21 +42,17 @@ def as_values(x) -> np.ndarray:
     return v
 
 
-def require_int(**fields) -> None:
-    """Raise DomainError unless every named value is an int (not a bool)."""
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
+MAX_POPULATION = 2**53  # every integer up to 2**53 is an exact float
 
 
-def require_population(population) -> None:
-    """Raise DomainError unless population is an integer in [1, 2**53].
-
-    Up to 2**53 every integer is an exact float.
-    """
-    require_int(population=population)
-    if not 1 <= population <= 2**53:
-        raise DomainError(f"population {population} must be in [1, 2**53]")
+def require_int(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """value, if it is an int (not a bool) in [lo, hi]; else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        bounds = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise DomainError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
 def require_label(label) -> None:
@@ -142,8 +138,8 @@ class Dataset:
 
     Construction checks every invariant and raises a structured error naming
     the first violated one and its 1-based day index. Finite, non-negative
-    values are already guaranteed by DailySeries. The population follows
-    require_population, and the label is a string.
+    values are already guaranteed by DailySeries. The population is an
+    integer in [1, MAX_POPULATION], and the label is a string.
     """
 
     cases: DailySeries
@@ -160,7 +156,7 @@ class Dataset:
             )
         if not (c.origin_day == d.origin_day == t.origin_day):
             raise LengthMismatch("series origins differ")
-        require_population(self.population)
+        require_int("population", self.population, 1, MAX_POPULATION)
         require_label(self.label)
         over_pop = np.flatnonzero(t.values > self.population)
         if len(over_pop):
@@ -187,9 +183,7 @@ class AntibodyAnchor:
     infected_count: float
 
     def __post_init__(self):
-        require_int(day_index=self.day_index)
-        if self.day_index < 1:
-            raise DomainError(f"anchor day index {self.day_index} must be >= 1")
+        require_int("day_index", self.day_index, 1)
         require_number(infected_count=self.infected_count)
         if not 0 < self.infected_count <= sys.float_info.max:
             raise DomainError("anchor infected count must be finite and positive")

@@ -33,9 +33,7 @@ class FitConfig:
     max_lag: int = 50
 
     def __post_init__(self):
-        require_int(max_lag=self.max_lag)
-        if self.max_lag < 0:
-            raise DomainError(f"max_lag must be >= 0, got {self.max_lag}")
+        require_int("max_lag", self.max_lag, 0)
 
 
 def closed_form_ifr(shifted, d) -> float:

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import AntibodyAnchor, DailySeries, Dataset, as_exponent, require_int
-from .errors import (
-    CalibrationFailed,
-    DegenerateSeries,
-    DomainError,
-    InfeasibleAnchorHigh,
-    InfeasibleAnchorLow,
-)
+from .errors import (CalibrationFailed, DegenerateSeries, InfeasibleAnchorHigh,
+                     InfeasibleAnchorLow)
 
 M_LO_DEFAULT = 1.0 + 1e-9
 M_HI_DEFAULT = 100.0
@@ -67,9 +62,7 @@ def estimate_infections(dataset: Dataset, m: float) -> DailySeries:
 
 def anchor_sum(dataset: Dataset, m: float, day_index: int) -> float:
     """Cumulative estimated infections through the given 1-based day."""
-    require_int(day_index=day_index)
-    if not 1 <= day_index <= len(dataset):
-        raise DomainError(f"day index {day_index} outside [1, {len(dataset)}]")
+    require_int("day_index", day_index, 1, len(dataset))
     return float(_infections(dataset, m, day_index).sum())
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FitResult, as_pair, require_int, require_nonnegative
-from .errors import DomainError, FitError, ZeroInfectionWindow
+from .errors import FitError, ZeroInfectionWindow
 from .fit import FitConfig, best_fit
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
@@ -48,11 +48,8 @@ class IntervalConfig:
     max_lag: int = FitConfig().max_lag
 
     def __post_init__(self):
-        require_int(width=self.width, min_trailing=self.min_trailing)
-        if self.width < 2:
-            raise DomainError(f"window width must be >= 2, got {self.width}")
-        if self.min_trailing < 1:
-            raise DomainError("min_trailing must be >= 1")
+        require_int("width", self.width, 2)
+        require_int("min_trailing", self.min_trailing, 1)
         FitConfig(self.max_lag)
 
 

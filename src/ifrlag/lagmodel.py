@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import as_values, require_int
-from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -30,9 +29,8 @@ class LagDistribution:
     b: int
 
     def __post_init__(self):
-        require_int(**{"lag.a": self.a, "lag.b": self.b})
-        if self.a < 0 or self.b < self.a:
-            raise DomainError(f"need 0 <= a <= b, got a={self.a} b={self.b}")
+        require_int("lag.a", self.a, 0)
+        require_int("lag.b", self.b, self.a)
 
     def pmf_vector(self) -> np.ndarray:
         """pmf over lags 0..b as a dense vector (sums to 1)."""

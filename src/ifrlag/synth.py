@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (DailySeries, Dataset, as_exponent, known_keys, require_int,
-                     require_label, require_number, require_population)
+from .domain import (MAX_POPULATION, DailySeries, Dataset, as_exponent, known_keys,
+                     require_int, require_label, require_number)
 from .errors import ConfigError, DomainError, LengthMismatch
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
@@ -35,11 +35,8 @@ class Regime:
     lag: LagDistribution
 
     def __post_init__(self):
-        require_int(start_day=self.start_day, end_day=self.end_day)
-        if not 1 <= self.start_day <= self.end_day:
-            raise DomainError(
-                f"bad regime bounds [{self.start_day}, {self.end_day}]"
-            )
+        require_int("start_day", self.start_day, 1)
+        require_int("end_day", self.end_day, self.start_day)
         require_number(ifr=self.ifr)
         if not 0.0 <= self.ifr <= 1.0:
             raise DomainError(f"regime ifr {self.ifr} outside [0, 1]")
@@ -56,7 +53,7 @@ class Scenario:
     label: str = "synthetic"
 
     def __post_init__(self):
-        require_population(self.population)
+        require_int("population", self.population, 1, MAX_POPULATION)
         require_label(self.label)
         k = len(self.infections)
         if len(self.test_curve) != k:
@@ -168,6 +165,10 @@ def default_scenario(
     m_true: float = 3.3,
 ) -> Scenario:
     """Two-peak scenario with one fatality regime per window, from DEFAULT_ORIGIN."""
+    require_int("k", k, 1)
+    require_int("window", window, 1)
+    require_int("population", population, 1, MAX_POPULATION)
+    require_number(total_infections=total_infections)
     n_regimes = (k + window - 1) // window
     if len(ifrs) != n_regimes:
         raise DomainError(f"need {n_regimes} regime rates for k={k}, w={window}")
@@ -209,10 +210,7 @@ def generate_deaths(scenario: Scenario, mode: str = "expected",
             full = r.ifr * shift_expectation_elongated(iv[s : r.end_day], r.lag)
             out[s : s + len(full)] += full
     elif mode == "sampled":
-        require_int(seed=seed)
-        if seed < 0:
-            raise DomainError(f"seed must be >= 0, got {seed}")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(require_int("seed", seed, 0))
         counts = np.rint(iv).astype(np.int64)
         for r in scenario.regimes:
             for day in range(r.start_day - 1, r.end_day):

@@ -177,7 +177,8 @@ BAD_INPUTS = {
     "scenario_test_curve_length": (
         lambda: Scenario(one_day_series(), (Regime(1, 1, 0.1, LagDistribution(0, 0)),),
                          1000, DailySeries(ORIGIN, [10.0, 10.0]), 2.0), LengthMismatch),
-    # one population rule for Dataset and Scenario: domain.require_population
+    # one population rule for Dataset and Scenario: domain.require_int up to
+    # domain.MAX_POPULATION
     "scenario_population_too_large": (
         lambda: Scenario(one_day_series(), (Regime(1, 1, 0.1, LagDistribution(0, 0)),),
                          10**20, one_day_series(value=10.0), 2.0), DomainError),
@@ -251,3 +252,42 @@ def test_bad_input_raises_its_data_error(name):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error
+
+
+# every integer range check is one domain.require_int call, so one message shape
+RANGE_MESSAGES = {
+    "max_lag": (lambda: FitConfig(-1), "max_lag must be >= 0, got -1"),
+    "width": (lambda: IntervalConfig(width=1), "width must be >= 2, got 1"),
+    "min_trailing": (lambda: IntervalConfig(min_trailing=0),
+                     "min_trailing must be >= 1, got 0"),
+    "lag_a": (lambda: LagDistribution(-1, 3), "lag.a must be >= 0, got -1"),
+    "lag_b": (lambda: LagDistribution(4, 3), "lag.b must be >= 4, got 3"),
+    "start_day": (lambda: Regime(0, 5, 0.1, LagDistribution(0, 0)),
+                  "start_day must be >= 1, got 0"),
+    "end_day": (lambda: Regime(5, 4, 0.1, LagDistribution(0, 0)),
+                "end_day must be >= 5, got 4"),
+    "anchor_day_index": (lambda: AntibodyAnchor(0, 500.0),
+                         "day_index must be >= 1, got 0"),
+    "anchor_sum_day_index": (
+        lambda: anchor_sum(make_dataset(cases=[1] * 250, tests=[10] * 250), 2.0, 251),
+        "day_index must be in [1, 250], got 251"),
+    "seed": (lambda: generate_deaths(default_scenario(), "sampled", seed=-1),
+             "seed must be >= 0, got -1"),
+    "dataset_population": (lambda: make_dataset(cases=[1], tests=[1], population=0),
+                           "population must be in [1, 9007199254740992], got 0"),
+    "scenario_population": (
+        lambda: Scenario(one_day_series(), (Regime(1, 1, 0.1, LagDistribution(0, 0)),),
+                         2**53 + 1, one_day_series(value=10.0), 2.0),
+        "population must be in [1, 9007199254740992], got 9007199254740993"),
+    "default_scenario_window": (lambda: default_scenario(window=0),
+                                "window must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_MESSAGES))
+def test_range_check_message(name):
+    build, message = RANGE_MESSAGES[name]
+    with pytest.raises(DomainError) as info:
+        build()
+    assert type(info.value) is DomainError
+    assert str(info.value) == message
