@@ -14,11 +14,9 @@ error, 3 infeasible calibration, 4 fit failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime as dt
 import hashlib
-import io
 import json
 import os
 import sys
@@ -28,11 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .domain import Dataset, anchor_from_study, known_keys, require_number
+from .domain import Dataset, anchor_from_study, known_keys, read_json, require_number
 from .errors import CalibrationError, ConfigError, DataError, FitError
 from .fit import FitConfig
 from .infection import calibrate_m, estimate_infections
-from .ingest import ColumnMapping, RepairPolicy, dataset_csv, load_dataset
+from .ingest import (COLUMNS, ColumnMapping, RepairPolicy, csv_text, dataset_csv,
+                     load_dataset)
 from .intervals import IntervalConfig, IntervalReport, fit_intervals
 from .svgchart import line_chart
 from .synth import Scenario, generate_observables
@@ -42,7 +41,6 @@ EXIT_DATA = 2
 EXIT_CALIBRATION = 3
 EXIT_FIT = 4
 
-COLUMNS = ("date", "cases", "deaths", "tests")
 # the top-level keys of a run config; "notes" is free text for the reader
 KEYS = ("label", "notes", "dataset", "population", "anchor", "date_range",
         "intervals", "max_lag", "output_dir")
@@ -71,10 +69,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, path) -> "RunConfig":
         path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        data = read_json(path, "config")
         base = path.parent
         try:
             known_keys(data, "config", KEYS)
@@ -115,12 +110,6 @@ class RunConfig:
 
 def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _csv(rows) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    return buffer.getvalue()
 
 
 def _publish(out: Path, files: dict[str, str]) -> None:
@@ -194,7 +183,7 @@ def cmd_fit_intervals(config: RunConfig) -> None:
         },
         "report_warnings": list(report.warnings),
     })
-    files["intervals.csv"] = _csv([
+    files["intervals.csv"] = csv_text([
         ["start_day", "end_day", "lag_a", "lag_b", "ifr", "error", "warnings"],
         *([row["start_day"], row["end_day"], row["lag_a"], row["lag_b"],
            f"{row['ifr']:.10g}", f"{row['error']:.10g}", ";".join(row["warnings"])]

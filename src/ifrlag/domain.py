@@ -10,9 +10,11 @@ CSV/JSON output); internal numpy arrays are 0-based as usual.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -55,10 +57,13 @@ def require_int(name: str, value, lo: int, hi: float = math.inf) -> int:
     return value
 
 
-def require_label(label) -> None:
-    """Raise DomainError unless label, echoed in titles and reports, is a str."""
-    if not isinstance(label, str):
-        raise DomainError(f"label must be a string, got {label!r}")
+def read_json(path, what: str):
+    """The value in the UTF-8 JSON file at path; ConfigError naming what the
+    file is when it cannot be read, decoded or parsed, or nests too deeply."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def known_keys(section: dict, name: str, keys) -> dict:
@@ -132,14 +137,32 @@ class DailySeries:
         return idx
 
 
+def require_record(population, label, tests: DailySeries, **series: DailySeries) -> None:
+    """Raise on the first broken rule of daily series for one population: one
+    length and origin (the named series, then tests), population in [1,
+    MAX_POPULATION], a str label, tests <= population (naming the day)."""
+    series["tests"] = tests
+    if len({len(s) for s in series.values()}) > 1:
+        raise LengthMismatch("series lengths differ: " + " ".join(
+            f"{name}={len(s)}" for name, s in series.items()))
+    if len({s.origin_day for s in series.values()}) > 1:
+        raise LengthMismatch("series origins differ")
+    require_int("population", population, 1, MAX_POPULATION)
+    if not isinstance(label, str):
+        raise DomainError(f"label must be a string, got {label!r}")
+    over = np.flatnonzero(tests.values > population)
+    if len(over):
+        raise PopulationExceeded(f"tests exceed population at day {int(over[0]) + 1}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Aligned daily cases, deaths and tests for one region.
 
     Construction checks every invariant and raises a structured error naming
     the first violated one and its 1-based day index. Finite, non-negative
-    values are already guaranteed by DailySeries. The population is an
-    integer in [1, MAX_POPULATION], and the label is a string.
+    values are already guaranteed by DailySeries. The rules it shares with
+    synth.Scenario are require_record's; cases <= tests is its own.
     """
 
     cases: DailySeries
@@ -149,20 +172,8 @@ class Dataset:
     label: str = ""
 
     def __post_init__(self):
-        c, d, t = self.cases, self.deaths, self.tests
-        if not (len(c) == len(d) == len(t)):
-            raise LengthMismatch(
-                f"series lengths differ: cases={len(c)} deaths={len(d)} tests={len(t)}"
-            )
-        if not (c.origin_day == d.origin_day == t.origin_day):
-            raise LengthMismatch("series origins differ")
-        require_int("population", self.population, 1, MAX_POPULATION)
-        require_label(self.label)
-        over_pop = np.flatnonzero(t.values > self.population)
-        if len(over_pop):
-            raise PopulationExceeded(
-                f"tests exceed population at day {int(over_pop[0]) + 1}"
-            )
+        c, t = self.cases, self.tests
+        require_record(self.population, self.label, t, cases=c, deaths=self.deaths)
         over = np.flatnonzero(c.values > t.values)
         if len(over):
             day = int(over[0]) + 1

@@ -135,7 +135,7 @@ def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
         margin = g * dd * (8 + 4 * aa / den_lo)
         safe = ((den_lo > n**2 * 2.0**-900) & (dd > 2.0**-900)
                 & np.isfinite(m) & np.isfinite(margin))
-    return a, b, np.where(safe, m - margin, -np.inf), np.where(safe, m + margin, np.inf)
+        return a, b, np.where(safe, m - margin, -np.inf), np.where(safe, m + margin, np.inf)
 
 
 def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:

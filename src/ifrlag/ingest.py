@@ -22,7 +22,7 @@ import csv
 import datetime as dt
 import io
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,8 @@ from .errors import (
 )
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
-FIELDS = ("cases", "deaths", "tests")
+COLUMNS = ("date", "cases", "deaths", "tests")  # a dataset CSV's header
+FIELDS = COLUMNS[1:]
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,7 @@ class RepairEntry:
     value: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"day": self.day, "field": self.field, "action": self.action,
-             "value": self.value},
-            allow_nan=False,
-        )
+        return json.dumps(asdict(self), allow_nan=False)
 
 
 def _parse_count(raw: str, field: str, line_no: int) -> float:
@@ -107,16 +104,18 @@ def _parse_count(raw: str, field: str, line_no: int) -> float:
 
 
 def _records(csv_source: bytes):
-    """(record number from 1, cells) for each CSV record; a bad file raises."""
+    """(line it starts on, from 1; cells) for each CSV record; a bad file raises."""
     if not isinstance(csv_source, bytes):
         raise IngestError(f"CSV source must be bytes, got {type(csv_source).__name__}")
     try:
         text = csv_source.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UnparseableRow(f"CSV is not UTF-8: {exc}") from None
-    reader = csv.reader(io.StringIO(text))
+    reader, start = csv.reader(io.StringIO(text)), 1
     try:
-        yield from enumerate(reader, start=1)
+        for cells in reader:
+            yield start, cells
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise UnparseableRow(f"line {reader.line_num}: {exc}") from None
 
@@ -221,22 +220,27 @@ def load_dataset(
     return dataset, log
 
 
+def csv_text(rows) -> str:
+    """rows as CSV text, each line ended by CRLF (the csv module's default)."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
 def dataset_csv(dataset: Dataset) -> str:
-    """A dataset as date,cases,deaths,tests CSV text, which load_dataset reads.
+    """A dataset as CSV text with the COLUMNS header, which load_dataset reads.
 
     Reported series must be whole counts on ingest, so fractional synthetic
     values are rounded.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["date", "cases", "deaths", "tests"])
-    rows = zip(dataset.cases.values, dataset.deaths.values, dataset.tests.values)
-    for j, (c, d, t) in enumerate(rows):
+    rows = [COLUMNS]
+    values = zip(dataset.cases.values, dataset.deaths.values, dataset.tests.values)
+    for j, (c, d, t) in enumerate(values):
         day = dataset.cases.origin_day + dt.timedelta(days=j)
         c, d, t = round(c), round(d), round(t)
         t = max(t, c)  # rounding must not break cases <= tests
-        writer.writerow([day.isoformat(), str(c), str(d), str(t)])
-    return buffer.getvalue()
+        rows.append([day.isoformat(), str(c), str(d), str(t)])
+    return csv_text(rows)
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:

@@ -12,14 +12,13 @@ identical output across platforms.
 from __future__ import annotations
 
 import datetime as dt
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import (MAX_POPULATION, DailySeries, Dataset, as_exponent, known_keys,
-                     require_int, require_label, require_number)
-from .errors import ConfigError, DomainError, LengthMismatch
+                     read_json, require_int, require_number, require_record)
+from .errors import ConfigError, DomainError
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
 DEFAULT_ORIGIN = dt.date(2020, 3, 1)
@@ -45,6 +44,13 @@ class Regime:
 
 @dataclass(frozen=True)
 class Scenario:
+    """The planted truth: daily infections, fatality regimes, test curve and m.
+
+    require_record checks the record as it does a Dataset's, the test curve
+    as its tests. Then the regimes must tile the period, the test curve be
+    positive and m_true a finite number > 1.
+    """
+
     infections: DailySeries
     regimes: tuple[Regime, ...]
     population: int
@@ -53,13 +59,8 @@ class Scenario:
     label: str = "synthetic"
 
     def __post_init__(self):
-        require_int("population", self.population, 1, MAX_POPULATION)
-        require_label(self.label)
-        k = len(self.infections)
-        if len(self.test_curve) != k:
-            raise LengthMismatch("test curve length differs from infections")
-        if self.test_curve.origin_day != self.infections.origin_day:
-            raise LengthMismatch("series origins differ")
+        require_record(self.population, self.label, self.test_curve,
+                       infections=self.infections)
         object.__setattr__(self, "regimes", tuple(self.regimes))
         expected_start = 1
         for r in self.regimes:
@@ -68,11 +69,11 @@ class Scenario:
                     f"regimes must tile the period: gap/overlap at day {r.start_day}"
                 )
             expected_start = r.end_day + 1
+        k = len(self.infections)
         if expected_start != k + 1:
             raise DomainError(f"regimes end at day {expected_start - 1}, need {k}")
-        t = self.test_curve.values
-        if np.any(t <= 0) or np.any(t > self.population):
-            raise DomainError("test curve must lie in (0, population]")
+        if np.any(self.test_curve.values <= 0):
+            raise DomainError("test curve must be positive")
         object.__setattr__(self, "m_true", as_exponent("m_true", self.m_true))
 
     def to_dict(self) -> dict:
@@ -124,12 +125,7 @@ class Scenario:
     @classmethod
     def from_json(cls, path) -> "Scenario":
         """from_dict of a JSON file; ConfigError if it cannot be read or parsed."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path, "scenario"))
 
 
 def two_peak_curve(k: int, total: float, peaks=(0.18, 0.66),

@@ -12,7 +12,7 @@ import pytest
 
 from ifrlag import cli
 from ifrlag.cli import main
-from ifrlag.synth import default_scenario
+from ifrlag.synth import Scenario, default_scenario
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # child Pythons import the package from this checkout, installed or not
@@ -415,6 +415,26 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     (tmp_path / "cfg.json").write_bytes(b'\xff{"max_lag": 5}')
     assert main(["fit-intervals", "--config", str(tmp_path / "cfg.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # past the parser's recursion limit: a ConfigError, not a traceback
+    (tmp_path / "cfg.json").write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["fit-intervals", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_shipped_configs_parse(path):
+    # reading a run config resolves its dataset path but opens no data file
+    if path.name.startswith("scenario"):
+        assert Scenario.from_json(path).label
+    else:
+        assert cli.RunConfig.from_json(path).settings["label"]
 
 
 def test_negative_max_lag_override_exits_2(workspace, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from conftest import bell
 from ifrlag.domain import FitResult, as_pair, error_metric
 from ifrlag import fit as fit_module
 from ifrlag.errors import (
+    DataError,
+    DomainError,
     FitError,
     LengthMismatch,
     NegativeValue,
@@ -173,8 +176,8 @@ def loop_best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
     """The oracle: score every pair with the per-pair path, in lexicographic
     order, keeping strict improvements (best_fit before its filter).
 
-    It covers inputs whose sums do not overflow: where they do, best_fit
-    raises DomainError and this loop returns NaN or inf."""
+    A squared norm, rate or error past the float range raises DomainError,
+    as closed_form_ifr and error_metric do."""
     iv, dv = as_pair(i, d)
     k = len(iv)
     if not np.any(iv > 0):
@@ -183,12 +186,15 @@ def loop_best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
     for a in range(config.max_lag + 1):
         for b in range(a, config.max_lag + 1):
             ip = np.convolve(iv, LagDistribution(a, b).pmf_vector())[:k]
-            denom = float(ip @ ip)
-            if denom == 0.0:
-                continue
-            r = float(ip @ dv) / denom
-            resid = r * ip - dv
-            m = float(resid @ resid)
+            with np.errstate(over="ignore", invalid="ignore"):
+                denom = float(ip @ ip)
+                if denom == 0.0:
+                    continue
+                r = float(ip @ dv) / denom
+                resid = r * ip - dv
+                m = float(resid @ resid)
+            if not (math.isfinite(denom) and math.isfinite(r) and math.isfinite(m)):
+                raise DomainError("a sum overflows the float range")
             if best is None or m < best.error:
                 best = FitResult(lag_a=a, lag_b=b, ifr=r, error=m)
     if best is None:
@@ -201,7 +207,7 @@ def loop_best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
 def _outcome(search, i, d, config):
     try:
         return search(i, d, config)
-    except FitError as exc:
+    except (DataError, FitError) as exc:
         return type(exc)
 
 
@@ -264,6 +270,23 @@ def fit_cases(draw):
 def test_best_fit_equals_per_pair_search(case):
     # best_fit searches no lag of k days or more, whatever max_lag is
     i, d, config = case
+    capped = FitConfig(min(config.max_lag, len(i) - 1))
+    assert _outcome(best_fit, i, d, config) == _outcome(loop_best_fit, i, d, capped)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(fit_cases(), st.integers(-250, 250), st.integers(-250, 250))
+# dd overflows and U(0, 0) misses d, so its bounds are inf - inf: no
+# RuntimeWarning may escape
+@example((np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1e200]), FitConfig(max_lag=1)),
+         0, 0)
+def test_best_fit_equals_per_pair_search_at_extreme_scales(case, e_i, e_d):
+    # infections and deaths scaled apart by up to 10**500: squared norms and
+    # rates overflow, and products with d fall below the normal range, where
+    # _error_bounds' guards act
+    i, d, config = case
+    i, d = i * 10.0**e_i, d * 10.0**e_d
     capped = FitConfig(min(config.max_lag, len(i) - 1))
     assert _outcome(best_fit, i, d, config) == _outcome(loop_best_fit, i, d, capped)
 

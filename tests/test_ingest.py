@@ -147,6 +147,14 @@ def test_unparseable_rows_name_the_line(row):
         load_dataset(raw, MAPPING, POLICY, 1_000_000, (MARCH, MARCH))
 
 
+def test_errors_name_the_line_a_record_starts_on():
+    # a quoted cell spans lines 2 and 3, so the bad cases cell is on line 4
+    raw = csv_bytes([f'{day(1)},1,0,100,"two\nlines"', f"{day(2)},abc,0,100,x"],
+                    header="date,cases,deaths,tests,notes")
+    with pytest.raises(UnparseableRow, match="line 4: cases"):
+        load_dataset(raw, MAPPING, POLICY, 1_000_000, (MARCH, dt.date(2020, 3, 2)))
+
+
 def test_unreadable_csv_is_an_unparseable_row():
     latin1 = "d\xe4te,cases,deaths,tests\n".encode("latin-1")
     with pytest.raises(UnparseableRow, match="not UTF-8"):

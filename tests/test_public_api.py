@@ -131,6 +131,23 @@ def test_bad_scalar_returns_or_raises_a_typed_error(name, param, bad):
         pass
 
 
+# the calls that parse or write a file format, and the one function each is
+# made in: every other reader or writer goes through it
+FORMAT_OWNERS = {"json.load": set(), "json.loads": {"domain.read_json"},
+                 "csv.writer": {"ingest.csv_text"}, "csv.reader": {"ingest._records"}}
+
+
+def test_each_file_format_has_one_owner():
+    found = {call: set() for call in FORMAT_OWNERS}
+    for path in pathlib.Path(ifrlag.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for sub in ast.walk(node):
+                call = ast.unparse(sub.func) if isinstance(sub, ast.Call) else None
+                if call in found:
+                    found[call].add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert found == FORMAT_OWNERS
+
+
 def unused_imports(path: pathlib.Path) -> list[str]:
     """Names a module imports but never reads; attribute chains count as reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ifrlag.domain import DailySeries
-from ifrlag.errors import ConfigError, DomainError
+from ifrlag.errors import ConfigError, DomainError, LengthMismatch, PopulationExceeded
 from ifrlag.infection import estimate_infections
 from ifrlag.lagmodel import LagDistribution
 from ifrlag.synth import (
@@ -194,8 +194,10 @@ def test_scenario_of_the_wrong_shape_is_a_config_error(change):
 def test_unreadable_scenario_file_is_a_config_error(tmp_path):
     (tmp_path / "bad.json").write_text("{")
     (tmp_path / "latin1.json").write_bytes(b'{"label": "\xe9"}')
+    # nested past the parser's recursion limit
+    (tmp_path / "nested.json").write_text("[" * 200_000 + "]" * 200_000)
     for path in (tmp_path / "bad.json", tmp_path / "latin1.json",
-                 tmp_path / "missing.json"):
+                 tmp_path / "nested.json", tmp_path / "missing.json"):
         with pytest.raises(ConfigError, match="cannot read scenario"):
             Scenario.from_json(path)
 
@@ -234,8 +236,14 @@ def test_scenario_field_validation():
         Regime(1, 5, 1.5, lag)
     with pytest.raises(DomainError):
         Scenario(i, (Regime(1, 5, 0.1, lag),), 1000, t, m_true=1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(PopulationExceeded, match="day 1"):
         Scenario(i, (Regime(1, 5, 0.1, lag),), 5, t, m_true=2.0)  # tests > N
+    with pytest.raises(DomainError, match="test curve must be positive"):
+        Scenario(i, (Regime(1, 5, 0.1, lag),), 1000,
+                 DailySeries(DEFAULT_ORIGIN, [10.0, 0.0, 10.0, 10.0, 10.0]), m_true=2.0)
+    with pytest.raises(LengthMismatch, match="series lengths differ: infections=5 tests=4"):
+        Scenario(i, (Regime(1, 5, 0.1, lag),), 1000,
+                 DailySeries(DEFAULT_ORIGIN, np.full(4, 10.0)), m_true=2.0)
 
 
 def test_curve_helpers():
