@@ -14,7 +14,6 @@ from .domain import (
     DailySeries,
     Dataset,
     FitResult,
-    anchor_from_study,
     error_metric,
 )
 from .fit import FitConfig, best_fit, closed_form_ifr
@@ -38,7 +37,6 @@ __all__ = [
     "Regime",
     "RepairPolicy",
     "Scenario",
-    "anchor_from_study",
     "anchor_sum",
     "best_fit",
     "calibrate_m",

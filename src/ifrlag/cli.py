@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .domain import Dataset, anchor_from_study, known_keys, read_json, require_number
+from .domain import AntibodyAnchor, Dataset, known_keys, read_json, require_number
 from .errors import CalibrationError, ConfigError, DataError, FitError
 from .fit import FitConfig
 from .infection import calibrate_m, estimate_infections
@@ -80,6 +80,8 @@ class RunConfig:
             names = known_keys(ds.get("columns", {}), "dataset.columns", COLUMNS)
             columns = ColumnMapping(*(names.get(k, k) for k in COLUMNS))
             require_number(**{f"anchor.{k}": v for k, v in anchor.items() if k != "date"})
+            if ("fraction" in anchor) == ("count" in anchor):
+                raise ConfigError("anchor: give exactly one of fraction or count")
             repair = RepairPolicy(**ds.get("repair", {}))
             start, end = (dt.date.fromisoformat(rng[k]) for k in ("start", "end"))
             anchor_date = dt.date.fromisoformat(anchor["date"])
@@ -160,9 +162,10 @@ def cmd_fit_intervals(config: RunConfig) -> None:
     raw = config.csv_path.read_bytes()
     dataset, repairs = load_dataset(raw, config.columns, config.repair,
                                     s["population"], config.date_range, label=s["label"])
-    calibration = calibrate_m(dataset, anchor_from_study(
-        dataset, config.anchor_date,
-        fraction=s["anchor"]["fraction"], count=s["anchor"]["count"]))
+    fraction, count = s["anchor"]["fraction"], s["anchor"]["count"]
+    count = count if fraction is None else fraction * dataset.population
+    calibration = calibrate_m(dataset, AntibodyAnchor(
+        dataset.cases.day_index(config.anchor_date), count))
     infections = estimate_infections(dataset, calibration.m)
     report = fit_intervals(infections, dataset.deaths, config.intervals)
     rows = report.to_rows()

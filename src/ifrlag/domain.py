@@ -57,6 +57,13 @@ def require_int(name: str, value, lo: int, hi: float = math.inf) -> int:
     return value
 
 
+def require_date(name: str, value) -> dt.date:
+    """value, if it is a dt.date and not a dt.datetime; else DomainError."""
+    if isinstance(value, dt.datetime) or not isinstance(value, dt.date):
+        raise DomainError(f"{name} must be a date, got {value!r}")
+    return value
+
+
 def read_json(path, what: str):
     """The value in the UTF-8 JSON file at path; ConfigError naming what the
     file is when it cannot be read, decoded or parsed, or nests too deeply."""
@@ -118,6 +125,7 @@ class DailySeries:
     values: np.ndarray
 
     def __post_init__(self):
+        require_date("origin_day", self.origin_day)
         v = as_values(self.values)
         require_nonnegative(v)
         v = v.copy()
@@ -129,7 +137,7 @@ class DailySeries:
 
     def day_index(self, day: dt.date) -> int:
         """1-based index of a calendar date. Dates before origin are rejected."""
-        idx = (day - self.origin_day).days + 1
+        idx = (require_date("day", day) - self.origin_day).days + 1
         if idx < 1:
             raise DomainError(f"{day} precedes series origin {self.origin_day}")
         if idx > len(self):
@@ -198,24 +206,6 @@ class AntibodyAnchor:
         require_number(infected_count=self.infected_count)
         if not 0 < self.infected_count <= sys.float_info.max:
             raise DomainError("anchor infected count must be finite and positive")
-
-
-def anchor_from_study(
-    dataset: Dataset,
-    study_date: dt.date,
-    fraction: float | None = None,
-    count: float | None = None,
-) -> AntibodyAnchor:
-    """Build an anchor from a study date and either a prevalence fraction or a count."""
-    if (fraction is None) == (count is None):
-        raise DomainError("give exactly one of fraction or count")
-    if fraction is not None:
-        require_number(fraction=fraction)
-        count = fraction * dataset.population
-    require_number(count=count)
-    if count > dataset.population:
-        raise DomainError("anchor count exceeds population")
-    return AntibodyAnchor(dataset.cases.day_index(study_date), float(count))
 
 
 @dataclass(frozen=True)

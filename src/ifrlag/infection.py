@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import AntibodyAnchor, DailySeries, Dataset, as_exponent, require_int
-from .errors import (CalibrationFailed, DegenerateSeries, InfeasibleAnchorHigh,
-                     InfeasibleAnchorLow)
+from .errors import (CalibrationFailed, DegenerateSeries, DomainError,
+                     InfeasibleAnchorHigh, InfeasibleAnchorLow)
 
 M_LO_DEFAULT = 1.0 + 1e-9
 M_HI_DEFAULT = 100.0
@@ -71,9 +71,12 @@ def calibrate_m(dataset: Dataset, anchor: AntibodyAnchor) -> CalibrationResult:
 
     Converges when the achieved sum is within 1e-6 relative of the anchor
     and the m bracket has collapsed below 1e-9 (the sum tolerance alone can
-    stop early on weakly m-sensitive series). Deterministic.
+    stop early on weakly m-sensitive series). Deterministic. An anchor
+    count above the population raises DomainError.
     """
     ell, target = anchor.day_index, anchor.infected_count
+    if target > dataset.population:
+        raise DomainError(f"anchor {target:g} exceeds population {dataset.population}")
     m_lo, m_hi = M_LO_DEFAULT, M_HI_DEFAULT
     sum_lo = anchor_sum(dataset, m_lo, ell)  # rejects an anchor day past the end
     sum_hi = anchor_sum(dataset, m_hi, ell)

@@ -27,9 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import DailySeries, Dataset
+from .domain import DailySeries, Dataset, require_date
 from .errors import (
     ConfigError,
+    DomainError,
     GapUnrepairable,
     IngestError,
     MissingColumn,
@@ -137,7 +138,13 @@ def load_dataset(
     the validated dataset, whose origin is the start of the range,
     together with the ordered repair log.
     """
-    start, end = date_range
+    try:
+        start, end = date_range
+    except (TypeError, ValueError):
+        raise DomainError(f"date_range must be a (start, end) pair, "
+                          f"got {date_range!r}") from None
+    require_date("date_range start", start)
+    require_date("date_range end", end)
     if end < start:
         raise ConfigError(f"date range end {end} precedes start {start}")
     records = _records(csv_source)

@@ -39,6 +39,8 @@ class Regime:
         require_number(ifr=self.ifr)
         if not 0.0 <= self.ifr <= 1.0:
             raise DomainError(f"regime ifr {self.ifr} outside [0, 1]")
+        if not isinstance(self.lag, LagDistribution):
+            raise DomainError(f"lag must be a LagDistribution, got {self.lag!r}")
         object.__setattr__(self, "ifr", float(self.ifr))
 
 
@@ -64,6 +66,8 @@ class Scenario:
         object.__setattr__(self, "regimes", tuple(self.regimes))
         expected_start = 1
         for r in self.regimes:
+            if not isinstance(r, Regime):
+                raise DomainError(f"regimes must hold Regime records, got {r!r}")
             if r.start_day != expected_start:
                 raise DomainError(
                     f"regimes must tile the period: gap/overlap at day {r.start_day}"

@@ -327,6 +327,13 @@ BAD_CONFIGS = {
         **cfg, "anchor": {**cfg["anchor"], "count": str(cfg["anchor"]["count"])}},
     "anchor_fraction_bool": lambda cfg: {
         **cfg, "anchor": {"date": cfg["anchor"]["date"], "fraction": True}},
+    "anchor_fraction_and_count": lambda cfg: {
+        **cfg, "anchor": {**cfg["anchor"], "fraction": 0.1}},
+    "anchor_without_fraction_or_count": lambda cfg: {
+        **cfg, "anchor": {"date": cfg["anchor"]["date"]}},
+    # calibrate_m rejects an anchor count above the population
+    "anchor_fraction_above_one": lambda cfg: {
+        **cfg, "anchor": {"date": cfg["anchor"]["date"], "fraction": 1.5}},
     "label_number": lambda cfg: {**cfg, "label": 5},
     "label_null": lambda cfg: {**cfg, "label": None},
 }
@@ -342,6 +349,33 @@ def test_malformed_config_exits_2(workspace, tmp_path, capsys, name):
     bad.write_text(json.dumps(BAD_CONFIGS[name](cfg)))
     assert main(["fit-intervals", "--config", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_anchor_rule_checked_before_the_csv_is_read(workspace, tmp_path, capsys):
+    _, _, config_path = workspace
+    cfg = json.loads(config_path.read_text())
+    cfg["dataset"]["path"] = str(tmp_path / "missing.csv")
+    cfg["anchor"]["fraction"] = 0.1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["fit-intervals", "--config", str(bad)]) == 2
+    assert "give exactly one of fraction or count" in capsys.readouterr().err
+
+
+def test_fraction_anchor_equals_count_anchor(workspace, tmp_path):
+    root, _, config_path = workspace
+    cfg = json.loads(config_path.read_text())
+    cfg["dataset"]["path"] = str(root / "sim/dataset.csv")
+    reports = []
+    for name, anchor in (("fraction", {"fraction": 0.25}),
+                         ("count", {"count": 0.25 * cfg["population"]})):
+        run = {**cfg, "anchor": {"date": cfg["anchor"]["date"], **anchor},
+               "output_dir": str(tmp_path / name)}
+        (tmp_path / f"{name}.json").write_text(json.dumps(run))
+        assert main(["fit-intervals", "--config", str(tmp_path / f"{name}.json")]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    for key in ("calibration", "windows"):
+        assert reports[0][key] == reports[1][key]
 
 
 def _first_regime_with(scenario, regime):

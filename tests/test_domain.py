@@ -10,7 +10,6 @@ from ifrlag.domain import (
     AntibodyAnchor,
     DailySeries,
     Dataset,
-    anchor_from_study,
     as_values,
     error_metric,
 )
@@ -71,20 +70,6 @@ def test_day_index_and_date_round_trip():
         s.day_index(dt.date(2020, 2, 28))
     with pytest.raises(DomainError):
         s.day_index(dt.date(2020, 5, 1))
-
-
-def test_anchor_from_study_converts_fraction():
-    ds = make_dataset(cases=np.ones(60), tests=np.full(60, 100.0),
-                      population=1_000_000)
-    anchor = anchor_from_study(ds, dt.date(2020, 4, 1), fraction=0.09)
-    assert anchor.day_index == 32
-    assert anchor.infected_count == pytest.approx(90_000)
-    with pytest.raises(DomainError):
-        anchor_from_study(ds, dt.date(2020, 4, 1))
-    with pytest.raises(DomainError):
-        anchor_from_study(ds, dt.date(2020, 4, 1), fraction=0.5, count=1.0)
-    with pytest.raises(DomainError):
-        anchor_from_study(ds, dt.date(2020, 4, 1), count=2_000_000)
 
 
 def test_anchor_requires_positive_count():
@@ -171,6 +156,19 @@ BAD_INPUTS = {
     "dataset_origins": (
         lambda: Dataset(one_day_series(), one_day_series(NEXT_DAY),
                         one_day_series(value=10.0), 1000), LengthMismatch),
+    # dates: one rule, owned by domain.require_date
+    "series_origin_string": (lambda: DailySeries("2020-03-01", [1, 2]), DomainError),
+    "series_origin_datetime": (lambda: DailySeries(dt.datetime(2020, 3, 1), [1.0]),
+                               DomainError),
+    "day_index_string": (lambda: one_day_series().day_index("2020-03-01"),
+                         DomainError),
+    "day_index_datetime": (
+        lambda: one_day_series().day_index(dt.datetime(2020, 3, 1)), DomainError),
+    # records that hold records check their type
+    "regime_lag_not_distribution": (lambda: default_scenario(lag="x"), DomainError),
+    "scenario_regime_not_regime": (
+        lambda: Scenario(one_day_series(), (1,), 1000, one_day_series(value=10.0), 2.0),
+        DomainError),
     "scenario_origins": (
         lambda: Scenario(one_day_series(), (Regime(1, 1, 0.1, LagDistribution(0, 0)),),
                          1000, one_day_series(NEXT_DAY, 10.0), 2.0), LengthMismatch),
@@ -204,10 +202,6 @@ BAD_INPUTS = {
     "anchor_sum_day_bool": (lambda: anchor_sum(two_days(), 2.0, True), DomainError),
     "generate_deaths_seed_not_int": (
         lambda: generate_deaths(default_scenario(), "sampled", seed=1.5), DomainError),
-    "anchor_fraction_not_number": (
-        lambda: anchor_from_study(two_days(), ORIGIN, fraction="0.1"), DomainError),
-    "anchor_count_not_number": (
-        lambda: anchor_from_study(two_days(), ORIGIN, count="5"), DomainError),
     "anchor_infected_count_not_number": (lambda: AntibodyAnchor(2, "5"), DomainError),
     "anchor_infected_count_inf": (lambda: AntibodyAnchor(2, float("inf")),
                                   DomainError),

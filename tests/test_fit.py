@@ -239,8 +239,26 @@ def fit_cases(draw):
     return i, d, FitConfig(max_lag=max_lag)
 
 
+@st.composite
+def mixed_scale_cases(draw):
+    """Scales mixed within a series: a lead of infections up to 10**160 times
+    smaller than the counts near 1 after it, and deaths at 10**-40 to
+    10**-130. A pair whose shift sees only the lead then has a lag sum num
+    whose square falls below the float range, while a pair that sees the
+    counts does not."""
+    k = draw(st.integers(2, 8))
+    lead = draw(st.integers(1, k - 1))
+    tiny = 10.0 ** -draw(st.integers(60, 160))
+    near_one = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    i = np.array([tiny * draw(near_one) for _ in range(lead)]
+                 + [draw(near_one) for _ in range(k - lead)])
+    d = 10.0 ** -draw(st.integers(40, 130)) * np.array(
+        draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), min_size=k, max_size=k)))
+    return i, d, FitConfig(max_lag=draw(st.integers(0, k)))
+
+
 @settings(max_examples=400, deadline=None)
-@given(fit_cases())
+@given(st.one_of(fit_cases(), mixed_scale_cases()))
 # every shifted norm underflows to zero
 @example((np.array([1e-170, 0.0, 0.0]), np.ones(3), FitConfig(max_lag=3)))
 # no deaths: every pair ties at error 0

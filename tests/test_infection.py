@@ -153,12 +153,28 @@ def test_anchor_day_past_dataset_rejected():
         calibrate_m(ds, AntibodyAnchor(2, 500.0))
 
 
+def random_dataset(rng, population):
+    """120 days of random cases, each at most its day's tests."""
+    cases = rng.uniform(0, 2000, 120)
+    tests = np.maximum(cases, rng.uniform(2000, 80_000, 120))
+    return make_dataset(cases=cases, tests=tests, population=population)
+
+
 @pytest.mark.parametrize("m_true", [1.2, 1.9, 3.3, 7.5, 20.0])
 def test_round_trip_recovers_m(m_true, rng):
-    k = 120
-    cases = rng.uniform(0, 2000, k)
-    tests = np.maximum(cases, rng.uniform(2000, 80_000, k))
-    ds = make_dataset(cases=cases, tests=tests, population=10_000_000)
+    # at m_true 1.2 the planted anchor is 0.66 of this population
+    ds = random_dataset(rng, 1_000_000_000)
     target = anchor_sum(ds, m_true, 100)
     result = calibrate_m(ds, AntibodyAnchor(100, target))
     assert result.m == pytest.approx(m_true, abs=1e-4)
+
+
+def test_anchor_above_population_rejected(rng):
+    # a planted m of 1.2 over a population of 10,000,000 puts 1.42 N infected
+    # by day 100: no m may reach it
+    ds = random_dataset(rng, 10_000_000)
+    target = anchor_sum(ds, 1.2, 100)
+    assert target > 1.4 * ds.population
+    with pytest.raises(DomainError) as info:
+        calibrate_m(ds, AntibodyAnchor(100, target))
+    assert str(info.value) == f"anchor {target:g} exceeds population 10000000"

@@ -3,12 +3,13 @@ every command-line option is something to support.
 
 A new name, parameter or flag must have a caller outside tests; when one is
 added or removed on purpose, update PUBLIC_NAMES, DEFAULTED_PARAMETERS or
-CLI_OPTIONS. Every public scalar parameter is probed with ill-formed values,
-and no module of the package imports a name it never uses.
+CLI_OPTIONS. Every public scalar or date parameter is probed with ill-formed
+values, and no module of the package imports a name it never uses.
 """
 import argparse
 import ast
 import dataclasses
+import datetime as dt
 import inspect
 import math
 import pathlib
@@ -19,8 +20,8 @@ import ifrlag
 from ifrlag import cli, svgchart, synth
 from ifrlag.errors import CalibrationError, DataError, FitError
 
-PUBLIC_NAMES = 28
-DEFAULTED_PARAMETERS = 29
+PUBLIC_NAMES = 27
+DEFAULTED_PARAMETERS = 27
 # option strings by subcommand ("ifrlag" is the top level), without -h/--help
 CLI_OPTIONS = {
     "ifrlag": ["--version"],
@@ -67,11 +68,23 @@ SCALAR_ANNOTATIONS = ("int", "float", "float | None")
 RESULT_RECORDS = {"CalibrationResult", "FitResult"}
 BAD_SCALARS = [0, -1, 1.5, True, math.nan, math.inf, "3", None]
 DAY = synth.DEFAULT_ORIGIN
+BAD_DATES = ["2020-03-01", None, dt.datetime(2020, 3, 1), 20200301, (DAY,)]
+# the values probed per date annotation: each bad date, and for a range also
+# each bad date at either end of an otherwise valid pair
+BAD_DATE_VALUES = {
+    "dt.date": BAD_DATES,
+    "tuple[dt.date, dt.date]": BAD_DATES + [
+        pair for bad in BAD_DATES for pair in ((bad, DAY), (DAY, bad))],
+}
 
 
-def scalar_parameters(name: str) -> list[str]:
+def scalar_parameters(name: str, annotations=SCALAR_ANNOTATIONS) -> list[str]:
     params = inspect.signature(getattr(ifrlag, name)).parameters.items()
-    return [p for p, param in params if param.annotation in SCALAR_ANNOTATIONS]
+    return [p for p, param in params if param.annotation in annotations]
+
+
+def date_parameters(name: str) -> list[str]:
+    return scalar_parameters(name, BAD_DATE_VALUES)
 
 
 def _fields(record) -> dict:
@@ -87,9 +100,11 @@ def _dataset():
     return ifrlag.generate_observables(_scenario())
 
 
-# one valid call, as keyword arguments, per public callable with a scalar parameter
+# one valid call, as keyword arguments, per public callable with a scalar or a
+# date parameter
 VALID_CALLS = {
     "AntibodyAnchor": lambda: dict(day_index=2, infected_count=5.0),
+    "DailySeries": lambda: dict(origin_day=DAY, values=[1.0, 2.0]),
     "Dataset": lambda: _fields(_dataset()),
     "FitConfig": lambda: dict(max_lag=3),
     "IntervalConfig": lambda: dict(width=10, min_trailing=2, max_lag=3),
@@ -97,8 +112,6 @@ VALID_CALLS = {
     "Regime": lambda: dict(start_day=1, end_day=10, ifr=0.01,
                            lag=ifrlag.LagDistribution(1, 3)),
     "Scenario": lambda: _fields(_scenario()),
-    "anchor_from_study": lambda: dict(dataset=_dataset(), study_date=DAY,
-                                      fraction=0.001, count=None),
     "anchor_sum": lambda: dict(dataset=_dataset(), m=3.0, day_index=2),
     "default_scenario": lambda: dict(k=10, window=10, ifrs=(0.01,), population=10**6,
                                      total_infections=1e4, m_true=3.3),
@@ -113,8 +126,9 @@ VALID_CALLS = {
 
 
 def test_every_public_scalar_parameter_is_probed():
-    with_scalars = {name for name in ifrlag.__all__ if scalar_parameters(name)}
-    assert set(VALID_CALLS) == with_scalars - RESULT_RECORDS
+    probed = {name for name in ifrlag.__all__
+              if scalar_parameters(name) or date_parameters(name)}
+    assert set(VALID_CALLS) == probed - RESULT_RECORDS
     for name, kwargs in VALID_CALLS.items():
         getattr(ifrlag, name)(**kwargs())
 
@@ -129,6 +143,17 @@ def test_bad_scalar_returns_or_raises_a_typed_error(name, param, bad):
         getattr(ifrlag, name)(**kwargs)
     except (DataError, CalibrationError, FitError):
         pass
+
+
+@pytest.mark.parametrize("name,param,bad", [
+    (name, p, bad) for name in sorted(VALID_CALLS)
+    for p, param in inspect.signature(getattr(ifrlag, name)).parameters.items()
+    for bad in BAD_DATE_VALUES.get(param.annotation, ())], ids=repr)
+def test_bad_date_raises_a_typed_error(name, param, bad):
+    kwargs = VALID_CALLS[name]()
+    kwargs[param] = bad
+    with pytest.raises(DataError):
+        getattr(ifrlag, name)(**kwargs)
 
 
 # the calls that parse or write a file format, and the one function each is
