@@ -57,6 +57,13 @@ def require_int(name: str, value, lo: int, hi: float = math.inf) -> int:
     return value
 
 
+def require_type(name: str, value, cls: type):
+    """value, if it is an instance of cls; else DomainError."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def require_date(name: str, value) -> dt.date:
     """value, if it is a dt.date and not a dt.datetime; else DomainError."""
     if isinstance(value, dt.datetime) or not isinstance(value, dt.date):
@@ -104,7 +111,7 @@ def as_exponent(name: str, value) -> float:
 
 def require_nonnegative(v: np.ndarray) -> None:
     """Raise NegativeValue naming the first negative entry's 1-based day."""
-    if np.any(v < 0):
+    if (v < 0).any():
         day = int(np.flatnonzero(v < 0)[0]) + 1
         raise NegativeValue(f"negative value {v[day - 1]} at day {day}")
 
@@ -146,10 +153,13 @@ class DailySeries:
 
 
 def require_record(population, label, tests: DailySeries, **series: DailySeries) -> None:
-    """Raise on the first broken rule of daily series for one population: one
-    length and origin (the named series, then tests), population in [1,
-    MAX_POPULATION], a str label, tests <= population (naming the day)."""
+    """Raise on the first broken rule of daily series for one population: each
+    a DailySeries (the named series, then tests), one length and origin,
+    population in [1, MAX_POPULATION], a str label, tests <= population
+    (naming the day)."""
     series["tests"] = tests
+    for name, s in series.items():
+        require_type(name, s, DailySeries)
     if len({len(s) for s in series.values()}) > 1:
         raise LengthMismatch("series lengths differ: " + " ".join(
             f"{name}={len(s)}" for name, s in series.items()))

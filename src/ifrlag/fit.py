@@ -16,12 +16,14 @@ is the exhaustive per-pair search's, bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FitResult, as_pair, error_metric, require_int, require_nonnegative
+from .domain import (FitResult, as_pair, error_metric, require_int, require_nonnegative,
+                     require_type)
 from .errors import DomainError, ZeroInfectionSeries, ZeroShiftedSeries
 from .lagmodel import LagDistribution, shift_expectation
 
@@ -84,16 +86,41 @@ def _surfaces(iv: np.ndarray, dv: np.ndarray, n: int):
                           strides=(x.itemsize, x.itemsize))
 
     XR = np.append((later(dv) * iv).sum(axis=1)[::-1].cumsum()[::-1], 0.0)
-    # i[j + t] i[j], summed over j <= m in place: csum[t, m], so that
-    # G[l, l'] = csum[|l - l'|, k - 1 - max(l, l')]
+    # i[j + t] i[j], summed over j <= m in place: csum[t, m]
     csum = later(iv) * iv
     np.cumsum(csum, axis=1, out=csum)
-    lags = np.arange(n)
-    gram = np.take(csum, abs(lags[:, None] - lags) * k + k - 1
-                   - np.maximum(lags[:, None], lags))
+    # the Gram, read from the long lags, summed in place into the suffix table
+    rev = csum.take(_gram_index(k, n))
+    np.cumsum(rev, axis=0, out=rev)
+    np.cumsum(rev, axis=1, out=rev)
     R = np.zeros((n + 1, n + 1))
-    R[:n, :n] = gram[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
+    R[:n, :n] = rev[::-1, ::-1]
     return XR, R.ravel()
+
+
+@functools.lru_cache(maxsize=4)
+def _gram_index(k: int, n: int) -> np.ndarray:
+    """Flat indices into _surfaces' csum of the lag Gram, rows and columns
+    reversed: G[l, l'] = csum[|l - l'|, k - 1 - max(l, l')]. Read-only and
+    cached, since every full window of a sweep has the same k and n."""
+    lags = np.arange(n)[::-1]
+    index = abs(lags[:, None] - lags) * k + k - 1 - np.maximum(lags[:, None], lags)
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_index(n: int, last_a: int):
+    """The pairs a <= b <= n-1, a <= last_a, in lexicographic order; their
+    ends, rows a and e = b + 1 (the first lag past the pair); and the flat
+    indices of their corners R[a, a], R[a, e], R[e, a] and R[e, e], one row
+    each. Read-only and cached, like _gram_index."""
+    a, b = np.nonzero(np.arange(n) >= np.arange(last_a + 1)[:, None])
+    ends = np.array((a, b + 1))
+    corners = ends[[0, 0, 1, 1]] * (n + 1) + ends[[0, 1, 0, 1]]
+    for index in (a, b, ends, corners):
+        index.flags.writeable = False
+    return a, b, ends, corners
 
 
 def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
@@ -119,16 +146,15 @@ def _error_bounds(iv: np.ndarray, dv: np.ndarray, max_lag: int):
     k = len(iv)
     n = min(max_lag, k - 1) + 1
     last_a = min(n - 1, k - 1 - int(np.flatnonzero(iv)[0]))
-    a, b = np.nonzero(np.arange(n) >= np.arange(last_a + 1)[:, None])
-    e = b + 1
-    corners = (a * (n + 1) + a, a * (n + 1) + e, e * (n + 1) + a, e * (n + 1) + e)
+    a, b, ends, corners = _pair_index(n, last_a)
 
     with np.errstate(all="ignore"):
         XR, R = _surfaces(iv, dv, n)
-        aa, ae, ea, ee = (np.take(R, c) for c in corners)
+        aa, ae, ea, ee = R.take(corners)
         den = aa - ae - ea + ee
-        num = np.take(XR, a) - np.take(XR, e)
-        dd = float(np.sum(dv * dv))
+        xa, xe = XR.take(ends)
+        num = xa - xe
+        dd = float((dv * dv).sum())
         g = 8 * 2.0**-53 * (k + 2 * n + 10)
         den_lo = den - g * aa
         m = dd - num * (num / den)  # num * num may fall below the float range
@@ -158,9 +184,10 @@ def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
     IFR and its error are the ones the per-pair path gives when it scores
     all pairs.
     """
+    require_type("config", config, FitConfig)
     iv, dv = as_pair(i, d)
     require_nonnegative(iv)
-    if not np.any(iv > 0):
+    if not (iv > 0).any():
         raise ZeroInfectionSeries("infection series has no positive entry")
 
     a, b, lo, hi = _error_bounds(iv, dv, config.max_lag)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AntibodyAnchor, DailySeries, Dataset, as_exponent, require_int
+from .domain import (AntibodyAnchor, DailySeries, Dataset, as_exponent, require_int,
+                     require_type)
 from .errors import (CalibrationFailed, DegenerateSeries, DomainError,
                      InfeasibleAnchorHigh, InfeasibleAnchorLow)
 
@@ -57,11 +58,13 @@ def estimate_infections(dataset: Dataset, m: float) -> DailySeries:
     Days with zero cases yield zero infections regardless of tests (avoids
     0/0); estimates dominate cases elementwise since tests <= N.
     """
+    require_type("dataset", dataset, Dataset)
     return DailySeries(dataset.cases.origin_day, _infections(dataset, m, len(dataset)))
 
 
 def anchor_sum(dataset: Dataset, m: float, day_index: int) -> float:
     """Cumulative estimated infections through the given 1-based day."""
+    require_type("dataset", dataset, Dataset)
     require_int("day_index", day_index, 1, len(dataset))
     return float(_infections(dataset, m, day_index).sum())
 
@@ -74,6 +77,8 @@ def calibrate_m(dataset: Dataset, anchor: AntibodyAnchor) -> CalibrationResult:
     stop early on weakly m-sensitive series). Deterministic. An anchor
     count above the population raises DomainError.
     """
+    require_type("dataset", dataset, Dataset)
+    require_type("anchor", anchor, AntibodyAnchor)
     ell, target = anchor.day_index, anchor.infected_count
     if target > dataset.population:
         raise DomainError(f"anchor {target:g} exceeds population {dataset.population}")

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import DailySeries, Dataset, require_date
+from .domain import DailySeries, Dataset, require_date, require_type
 from .errors import (
     ConfigError,
     DomainError,
@@ -138,6 +138,8 @@ def load_dataset(
     the validated dataset, whose origin is the start of the range,
     together with the ordered repair log.
     """
+    require_type("mapping", mapping, ColumnMapping)
+    require_type("policy", policy, RepairPolicy)
     try:
         start, end = date_range
     except (TypeError, ValueError):
@@ -240,6 +242,7 @@ def dataset_csv(dataset: Dataset) -> str:
     Reported series must be whole counts on ingest, so fractional synthetic
     values are rounded.
     """
+    require_type("dataset", dataset, Dataset)
     rows = [COLUMNS]
     values = zip(dataset.cases.values, dataset.deaths.values, dataset.tests.values)
     for j, (c, d, t) in enumerate(values):

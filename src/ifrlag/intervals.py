@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FitResult, as_pair, require_int, require_nonnegative
+from .domain import FitResult, as_pair, require_int, require_nonnegative, require_type
 from .errors import FitError, ZeroInfectionWindow
 from .fit import FitConfig, best_fit
 from .lagmodel import LagDistribution, shift_expectation_elongated
@@ -89,8 +89,10 @@ class IntervalReport:
 
 
 def _is_flat(deaths: np.ndarray) -> bool:
-    mean = float(deaths.mean())
-    var = float(deaths.var())
+    # ndarray.mean and ndarray.var's steps, without their Python wrappers
+    mean = float(deaths.sum()) / len(deaths)
+    dev = deaths - mean
+    var = float((dev * dev).sum()) / len(deaths)
     return var == 0.0 or var < FLAT_DEATHS_VARIANCE_RATIO * mean * mean
 
 
@@ -104,6 +106,7 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
     would bias the rate upward) and are flagged, as are negative fitted rates
     and near-flat death windows where the lag is poorly identified.
     """
+    require_type("config", config, IntervalConfig)
     iv, dv = as_pair(i, d)
     require_nonnegative(iv)
     k, w = len(iv), config.width
@@ -134,12 +137,12 @@ def fit_intervals(i, d, config: IntervalConfig = IntervalConfig()) -> IntervalRe
         adjusted = dv[s:e] - candidate[s:e]
         if windows and windows[-1].fit.lag_b > e - s:
             warnings.append(WARN_RESIDUAL_OVERFLOW)
-        if np.any(adjusted < 0):
+        if (adjusted < 0).any():
             warnings.append(WARN_NEGATIVE_ADJUSTED)
         if _is_flat(adjusted):
             warnings.append(WARN_FLAT_DEATHS)
 
-        if not np.any(i_win > 0):
+        if not (i_win > 0).any():
             raise ZeroInfectionWindow(
                 f"window {n} (days {s + 1}..{e}) has no positive infections; "
                 "start date_range at or after the first reported case, "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import as_values, require_int
+from .domain import as_values, require_int, require_type
 
 
 @dataclass(frozen=True)
@@ -54,4 +54,5 @@ def shift_expectation_elongated(i, lag: LagDistribution) -> np.ndarray:
 
     The output has len(i) + lag.b entries.
     """
+    require_type("lag", lag, LagDistribution)
     return np.convolve(as_values(i), lag.pmf_vector())

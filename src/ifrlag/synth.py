@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (MAX_POPULATION, DailySeries, Dataset, as_exponent, known_keys,
-                     read_json, require_int, require_number, require_record)
+                     read_json, require_int, require_number, require_record,
+                     require_type)
 from .errors import ConfigError, DomainError
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
@@ -39,8 +40,7 @@ class Regime:
         require_number(ifr=self.ifr)
         if not 0.0 <= self.ifr <= 1.0:
             raise DomainError(f"regime ifr {self.ifr} outside [0, 1]")
-        if not isinstance(self.lag, LagDistribution):
-            raise DomainError(f"lag must be a LagDistribution, got {self.lag!r}")
+        require_type("lag", self.lag, LagDistribution)
         object.__setattr__(self, "ifr", float(self.ifr))
 
 
@@ -63,11 +63,13 @@ class Scenario:
     def __post_init__(self):
         require_record(self.population, self.label, self.test_curve,
                        infections=self.infections)
+        if not isinstance(self.regimes, (tuple, list)):
+            raise DomainError(f"regimes must be a tuple of Regime records, "
+                              f"got {self.regimes!r}")
         object.__setattr__(self, "regimes", tuple(self.regimes))
         expected_start = 1
         for r in self.regimes:
-            if not isinstance(r, Regime):
-                raise DomainError(f"regimes must hold Regime records, got {r!r}")
+            require_type("regime", r, Regime)
             if r.start_day != expected_start:
                 raise DomainError(
                     f"regimes must tile the period: gap/overlap at day {r.start_day}"
@@ -198,9 +200,14 @@ def generate_deaths(scenario: Scenario, mode: str = "expected",
     rate, regimes summed. sampled: infections are rounded to integers, each
     draws a Bernoulli(ifr) death and each death an integer lag from the
     regime's law; deterministic per seed (PCG64), and a zero count or zero
-    rate draws nothing from the stream. Both modes fill one buffer padded by
-    the longest lag and cut it once, at day k: later deaths are unobserved.
+    rate draws nothing from the stream. The draws are one binomial and one
+    integers call per day, in day order; each day's lags are counted into
+    one (days x lags) histogram per regime, placed with one slice add per
+    lag (integer counts: below 2**53 the order of addition changes no
+    bit). Both modes fill one buffer padded by the longest lag and cut it
+    once, at day k: later deaths are unobserved.
     """
+    require_type("scenario", scenario, Scenario)
     k = len(scenario.infections)
     iv = scenario.infections.values
     out = np.zeros(k + max(r.lag.b for r in scenario.regimes))
@@ -213,10 +220,14 @@ def generate_deaths(scenario: Scenario, mode: str = "expected",
         rng = np.random.default_rng(require_int("seed", seed, 0))
         counts = np.rint(iv).astype(np.int64)
         for r in scenario.regimes:
-            for day in range(r.start_day - 1, r.end_day):
+            s, e, a, b = r.start_day - 1, r.end_day, r.lag.a, r.lag.b
+            hist = np.empty((e - s, b + 1))
+            for day in range(s, e):
                 n_deaths = rng.binomial(counts[day], r.ifr)
-                lags = rng.integers(r.lag.a, r.lag.b + 1, size=n_deaths)
-                out += np.bincount(day + lags, minlength=len(out))
+                lags = rng.integers(a, b + 1, size=n_deaths)
+                hist[day - s] = np.bincount(lags, minlength=b + 1)
+            for lag in range(a, b + 1):
+                out[s + lag : e + lag] += hist[:, lag]
     else:
         raise DomainError(f"unknown mode {mode!r}; use 'expected' or 'sampled'")
     return DailySeries(scenario.infections.origin_day, out[:k])
@@ -232,6 +243,7 @@ def generate_observables(scenario: Scenario, mode: str = "expected",
     day's truth to within one ulp, not exactly: the product and the
     quotient each round.
     """
+    require_type("scenario", scenario, Scenario)
     iv = scenario.infections.values
     coverage = scenario.test_curve.values / float(scenario.population)
     cases = iv * coverage ** (1.0 / scenario.m_true)

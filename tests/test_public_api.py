@@ -3,8 +3,8 @@ every command-line option is something to support.
 
 A new name, parameter or flag must have a caller outside tests; when one is
 added or removed on purpose, update PUBLIC_NAMES, DEFAULTED_PARAMETERS or
-CLI_OPTIONS. Every public scalar or date parameter is probed with ill-formed
-values, and no module of the package imports a name it never uses.
+CLI_OPTIONS. Every public scalar, date or record parameter is probed with
+ill-formed values, and no module of the package imports a name it never uses.
 """
 import argparse
 import ast
@@ -12,13 +12,14 @@ import dataclasses
 import datetime as dt
 import inspect
 import math
+import os
 import pathlib
 
 import pytest
 
 import ifrlag
 from ifrlag import cli, svgchart, synth
-from ifrlag.errors import CalibrationError, DataError, FitError
+from ifrlag.errors import CalibrationError, DataError, DomainError, FitError
 
 PUBLIC_NAMES = 27
 DEFAULTED_PARAMETERS = 27
@@ -87,6 +88,19 @@ def date_parameters(name: str) -> list[str]:
     return scalar_parameters(name, BAD_DATE_VALUES)
 
 
+# the public record types, which a parameter annotated with one must be: each
+# is probed with None and with its own field values as a tuple and as a list
+RECORD_TYPES = {name for name in ifrlag.__all__
+                if dataclasses.is_dataclass(getattr(ifrlag, name))}
+BAD_RECORDS = {"None": lambda record: None,
+               "tuple": lambda record: tuple(_fields(record).values()),
+               "list": lambda record: list(_fields(record).values())}
+
+
+def record_parameters(name: str) -> list[str]:
+    return scalar_parameters(name, RECORD_TYPES)
+
+
 def _fields(record) -> dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
@@ -100,8 +114,8 @@ def _dataset():
     return ifrlag.generate_observables(_scenario())
 
 
-# one valid call, as keyword arguments, per public callable with a scalar or a
-# date parameter
+# one valid call, as keyword arguments, per public callable with a scalar, a
+# date or a record parameter; every record parameter is given
 VALID_CALLS = {
     "AntibodyAnchor": lambda: dict(day_index=2, infected_count=5.0),
     "DailySeries": lambda: dict(origin_day=DAY, values=[1.0, 2.0]),
@@ -113,23 +127,35 @@ VALID_CALLS = {
                            lag=ifrlag.LagDistribution(1, 3)),
     "Scenario": lambda: _fields(_scenario()),
     "anchor_sum": lambda: dict(dataset=_dataset(), m=3.0, day_index=2),
-    "default_scenario": lambda: dict(k=10, window=10, ifrs=(0.01,), population=10**6,
+    "best_fit": lambda: dict(i=[1.0, 2.0, 1.0], d=[0.0, 1.0, 2.0],
+                             config=ifrlag.FitConfig(2)),
+    "calibrate_m": lambda: dict(dataset=_dataset(),
+                                anchor=ifrlag.AntibodyAnchor(10, 1e4)),
+    "default_scenario": lambda: dict(k=10, window=10, ifrs=(0.01,),
+                                     lag=ifrlag.LagDistribution(1, 3), population=10**6,
                                      total_infections=1e4, m_true=3.3),
     "estimate_infections": lambda: dict(dataset=_dataset(), m=3.0),
+    "fit_intervals": lambda: dict(i=[1.0, 2.0, 1.0], d=[0.0, 1.0, 2.0],
+                                  config=ifrlag.IntervalConfig(width=3, max_lag=2)),
     "generate_deaths": lambda: dict(scenario=_scenario(), mode="sampled", seed=0),
     "generate_observables": lambda: dict(scenario=_scenario(), mode="sampled", seed=0),
     "load_dataset": lambda: dict(
         csv_source=b"date,cases,deaths,tests\n2020-03-01,1,0,10\n",
         mapping=ifrlag.ColumnMapping("date", "cases", "deaths", "tests"),
         policy=ifrlag.RepairPolicy(), population=1000, date_range=(DAY, DAY)),
+    "shift_expectation": lambda: dict(i=[1.0, 2.0], lag=ifrlag.LagDistribution(0, 1)),
+    "shift_expectation_elongated": lambda: dict(i=[1.0, 2.0],
+                                                lag=ifrlag.LagDistribution(0, 1)),
+    "write_dataset_csv": lambda: dict(dataset=_dataset(), path=os.devnull),
 }
 
 
 def test_every_public_scalar_parameter_is_probed():
-    probed = {name for name in ifrlag.__all__
-              if scalar_parameters(name) or date_parameters(name)}
+    probed = {name for name in ifrlag.__all__ if scalar_parameters(name)
+              or date_parameters(name) or record_parameters(name)}
     assert set(VALID_CALLS) == probed - RESULT_RECORDS
     for name, kwargs in VALID_CALLS.items():
+        assert set(record_parameters(name)) <= set(kwargs()), name
         getattr(ifrlag, name)(**kwargs())
 
 
@@ -153,6 +179,16 @@ def test_bad_date_raises_a_typed_error(name, param, bad):
     kwargs = VALID_CALLS[name]()
     kwargs[param] = bad
     with pytest.raises(DataError):
+        getattr(ifrlag, name)(**kwargs)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_RECORDS))
+@pytest.mark.parametrize("name,param", [(name, p) for name in sorted(VALID_CALLS)
+                                        for p in record_parameters(name)])
+def test_bad_record_raises_a_typed_error(name, param, bad):
+    kwargs = VALID_CALLS[name]()
+    kwargs[param] = BAD_RECORDS[bad](kwargs[param])
+    with pytest.raises(DomainError, match="must be a "):
         getattr(ifrlag, name)(**kwargs)
 
 

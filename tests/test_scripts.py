@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ifrlag import intervals, synth
 from ifrlag.domain import DailySeries
 from ifrlag.lagmodel import LagDistribution
 from ifrlag.synth import Regime, Scenario, generate_deaths, two_peak_curve
@@ -183,3 +184,30 @@ def test_bench_pairs_alternates_traced_runs(monkeypatch, tmp_path):
     traced = json.loads(out.read_text())["traces"]["window_sweep"]
     assert traced["parent"] == {"fit.best_fit.s": {"values": [5.0, 8.0, 9.0], "median": 8.0}}
     assert traced["change"] == {"fit.best_fit.s": {"values": [6.0, 7.0, 10.0], "median": 7.0}}
+
+
+def test_perfbench_probes_see_one_call_per_window(monkeypatch, tmp_path):
+    """perfbench's probes wrap ifrlag.intervals.best_fit and
+    shift_expectation_elongated and ifrlag.synth.generate_deaths, so traced
+    counts compare across changes only while fit_intervals calls the first
+    two once per window and a window_sweep op reaches all three there."""
+    calls = []
+    for module, name in ((intervals, "best_fit"),
+                         (intervals, "shift_expectation_elongated"),
+                         (synth, "generate_deaths")):
+        def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    i = two_peak_curve(120, 1e6)
+    report = intervals.fit_intervals(i, 0.01 * i, intervals.IntervalConfig(width=40))
+    assert len(report.windows) == 3
+    assert sorted(calls) == ["best_fit"] * 3 + ["shift_expectation_elongated"] * 3
+
+    calls.clear()
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    sweep = importlib.import_module("workloads").WindowSweep(0, tmp_path)
+    sweep.setup()
+    assert sweep.op(0, None).ok
+    assert calls == ["generate_deaths"] + ["best_fit", "shift_expectation_elongated"] * 5

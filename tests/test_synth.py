@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifrlag.domain import DailySeries
 from ifrlag.errors import ConfigError, DomainError, LengthMismatch, PopulationExceeded
@@ -58,6 +60,56 @@ def test_sampled_stream_is_pinned():
     deaths = generate_deaths(sc, "sampled", seed=3).values
     assert deaths.tolist() == [0, 0, 0, 0, 0, 5, 3, 6, 11, 12, 8, 9, 1, 0, 0,
                                0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 9, 11, 12, 9]
+
+
+def loop_generate_deaths(scenario: Scenario, seed: int) -> np.ndarray:
+    """The oracle: sampled deaths binned day by day over the whole padded
+    buffer (generate_deaths before its per-regime lag histograms)."""
+    k = len(scenario.infections)
+    out = np.zeros(k + max(r.lag.b for r in scenario.regimes))
+    rng = np.random.default_rng(seed)
+    counts = np.rint(scenario.infections.values).astype(np.int64)
+    for r in scenario.regimes:
+        for day in range(r.start_day - 1, r.end_day):
+            n_deaths = rng.binomial(counts[day], r.ifr)
+            lags = rng.integers(r.lag.a, r.lag.b + 1, size=n_deaths)
+            out += np.bincount(day + lags, minlength=len(out))
+    return out[:k]
+
+
+@st.composite
+def sampled_scenarios(draw) -> Scenario:
+    """Short scenarios with zero-count days, one-day regimes, zero and unit
+    rates, lags from 0 and lags that land past day k."""
+    k = draw(st.integers(1, 30))
+    values = draw(st.lists(st.just(0.0) | st.floats(0.0, 400.0), min_size=k, max_size=k))
+    cuts = draw(st.sets(st.integers(1, k - 1), max_size=8)) if k > 1 else set()
+    bounds = [0, *sorted(cuts), k]
+    regimes = []
+    for start, end in zip(bounds, bounds[1:]):
+        a = draw(st.integers(0, 4))
+        b = draw(st.integers(a, a + 2 * k))
+        ifr = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        regimes.append(Regime(start + 1, end, ifr, LagDistribution(a, b)))
+    return Scenario(
+        infections=DailySeries(DEFAULT_ORIGIN, values),
+        regimes=tuple(regimes),
+        population=1_000_000,
+        test_curve=DailySeries(DEFAULT_ORIGIN, np.full(k, 1000.0)),
+        m_true=2.0,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_scenarios(), st.integers(0, 2**32))
+@example(Scenario(DailySeries(DEFAULT_ORIGIN, [0.0, 7.0, 300.0]),
+                  (Regime(1, 1, 0.5, LagDistribution(0, 0)),
+                   Regime(2, 2, 0.0, LagDistribution(1, 2)),
+                   Regime(3, 3, 1.0, LagDistribution(0, 9))),
+                  1000, DailySeries(DEFAULT_ORIGIN, [10.0] * 3), 2.0), 0)
+def test_sampled_deaths_equal_the_per_day_loop(scenario, seed):
+    sampled = generate_deaths(scenario, "sampled", seed).values
+    assert np.array_equal(sampled, loop_generate_deaths(scenario, seed))
 
 
 def test_sampled_death_total_concentrates():
@@ -244,6 +296,10 @@ def test_scenario_field_validation():
     with pytest.raises(LengthMismatch, match="series lengths differ: infections=5 tests=4"):
         Scenario(i, (Regime(1, 5, 0.1, lag),), 1000,
                  DailySeries(DEFAULT_ORIGIN, np.full(4, 10.0)), m_true=2.0)
+    with pytest.raises(DomainError, match="regimes must be a tuple of Regime records"):
+        Scenario(i, 5, 1000, t, m_true=2.0)
+    with pytest.raises(DomainError, match="regime must be a Regime"):
+        Scenario(i, ((1, 5, 0.1, lag),), 1000, t, m_true=2.0)
 
 
 def test_curve_helpers():
