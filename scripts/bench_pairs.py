@@ -16,7 +16,10 @@ A metric shows a gain when the change wins at least 9 of 10 pairs (ties
 count for neither) and the medians differ, in the better direction, by more
 than the parent's interquartile range. It is within its bound when the
 change's median is worse than the parent's by at most the bound that
-BENCHMARK.json sets (relative to the parent's median).
+BENCHMARK.json sets (relative to the parent's median). It is unresolved
+when the parent's interquartile range, relative to its median, is wider than
+the bound, unless every run of the change reads better than every run of the
+parent: such a metric is neither a pass nor a regression.
 """
 from __future__ import annotations
 
@@ -42,7 +45,8 @@ def _quartiles(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], spec: dict) -> dict:
     """Per metric: each side's values, median and quartiles, the change's win
-    fraction, the gain rule and the bound check.
+    fraction, the gain rule, the bound check and whether noise leaves it
+    unresolved.
 
     pairs holds one {"parent": {metric: value}, "change": {metric: value}}
     per pair of runs; spec is BENCHMARK.json's end_to_end list.
@@ -56,15 +60,19 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
         parent, change = sides["parent"]["median"], sides["change"]["median"]
         gain = parent - change if lower else change - parent
         worse = -gain / parent if parent else 0.0
+        spread = sides["parent"]["q3"] - sides["parent"]["q1"]
+        p_runs, c_runs = sides["parent"]["values"], sides["change"]["values"]
+        all_better = (max(c_runs) < min(p_runs)) if lower else (min(c_runs) > max(p_runs))
         out[name] = {
             **sides,
             "wins": wins,
             "win_frac": wins / len(pairs),
             "median_ratio": change / parent if parent else None,
-            "gain": wins >= 0.9 * len(pairs)
-            and gain > sides["parent"]["q3"] - sides["parent"]["q1"],
+            "gain": wins >= 0.9 * len(pairs) and gain > spread,
             "bound": metric["bound"],
             "within_bound": worse <= metric["bound"],
+            "unresolved": bool(parent) and spread / parent > metric["bound"]
+            and not all_better,
         }
     return out
 

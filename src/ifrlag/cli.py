@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .domain import AntibodyAnchor, Dataset, known_keys, read_json, require_number
+from .domain import AntibodyAnchor, Dataset, known_keys, read_json, require_real
 from .errors import CalibrationError, ConfigError, DataError, FitError
 from .fit import FitConfig
 from .infection import calibrate_m, estimate_infections
@@ -79,13 +79,15 @@ class RunConfig:
             known_keys(rng, "date_range", ("start", "end"))
             names = known_keys(ds.get("columns", {}), "dataset.columns", COLUMNS)
             columns = ColumnMapping(*(names.get(k, k) for k in COLUMNS))
-            require_number(**{f"anchor.{k}": v for k, v in anchor.items() if k != "date"})
+            numbers = {k: require_real(f"anchor.{k}", anchor[k]) if k in anchor else None
+                       for k in ("fraction", "count")}
             if ("fraction" in anchor) == ("count" in anchor):
                 raise ConfigError("anchor: give exactly one of fraction or count")
             repair = RepairPolicy(**ds.get("repair", {}))
             start, end = (dt.date.fromisoformat(rng[k]) for k in ("start", "end"))
             anchor_date = dt.date.fromisoformat(anchor["date"])
-            intervals = IntervalConfig(**data.get("intervals", {}),
+            intervals = IntervalConfig(**known_keys(data.get("intervals", {}), "intervals",
+                                                    ("width", "min_trailing")),
                                        max_lag=data.get("max_lag", FitConfig().max_lag))
             settings = {
                 "label": data.get("label", path.stem),
@@ -95,9 +97,7 @@ class RunConfig:
                     "repair": dataclasses.asdict(repair),
                 },
                 "population": data["population"],
-                "anchor": {"date": anchor_date.isoformat(),
-                           **{k: float(anchor[k]) if k in anchor else None
-                              for k in ("fraction", "count")}},
+                "anchor": {"date": anchor_date.isoformat(), **numbers},
                 "date_range": {"start": start.isoformat(), "end": end.isoformat()},
                 "intervals": {"width": intervals.width,
                               "min_trailing": intervals.min_trailing},
@@ -106,7 +106,7 @@ class RunConfig:
             return cls(settings, (base / ds["path"]).resolve(),
                        (base / data.get("output_dir", "out")).resolve(),
                        columns, repair, (start, end), anchor_date, intervals)
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
 
 

@@ -90,22 +90,24 @@ def known_keys(section: dict, name: str, keys) -> dict:
     return section
 
 
-def require_number(**fields) -> None:
-    """Raise DomainError unless every named value is an int or a float (not a bool)."""
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(f"{name} must be a number, got {value!r}")
+def require_real(name: str, value, lo: float = -sys.float_info.max,
+                 hi: float = sys.float_info.max, *, open_lo: bool = False) -> float:
+    """value as a float, if it is an int or a float (not a bool) in [lo, hi],
+    or in (lo, hi] when open_lo; else DomainError.
 
-
-def as_exponent(name: str, value) -> float:
-    """value as a float, if it is a number in (1, largest float]; else DomainError.
-
-    The comparison runs before any float conversion, so an int past the
-    float range is rejected rather than overflowing.
+    The comparison runs before any float conversion, so NaN, an infinity and
+    an int past the float range are rejected rather than overflowing.
     """
-    require_number(**{name: value})
-    if not 1.0 < value <= sys.float_info.max:
-        raise DomainError(f"{name} must be finite and > 1, got {value}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    if not ((lo < value) if open_lo else (lo <= value)) or not value <= hi:
+        if hi < sys.float_info.max:
+            bounds = f"in {'(' if open_lo else '['}{lo:g}, {hi:g}]"
+        elif lo > -sys.float_info.max:
+            bounds = f"finite and {'>' if open_lo else '>='} {lo:g}"
+        else:
+            bounds = "a finite number"
+        raise DomainError(f"{name} must be {bounds}, got {value}")
     return float(value)
 
 
@@ -152,12 +154,11 @@ class DailySeries:
         return idx
 
 
-def require_record(population, label, tests: DailySeries, **series: DailySeries) -> None:
-    """Raise on the first broken rule of daily series for one population: each
-    a DailySeries (the named series, then tests), one length and origin,
-    population in [1, MAX_POPULATION], a str label, tests <= population
+def require_record(population, label, bounded: str, **series: DailySeries) -> None:
+    """Raise on the first broken rule of daily series for one population, each
+    named by its field: each a DailySeries, one length and origin, population
+    in [1, MAX_POPULATION], a str label, and series[bounded] <= population
     (naming the day)."""
-    series["tests"] = tests
     for name, s in series.items():
         require_type(name, s, DailySeries)
     if len({len(s) for s in series.values()}) > 1:
@@ -166,11 +167,11 @@ def require_record(population, label, tests: DailySeries, **series: DailySeries)
     if len({s.origin_day for s in series.values()}) > 1:
         raise LengthMismatch("series origins differ")
     require_int("population", population, 1, MAX_POPULATION)
-    if not isinstance(label, str):
-        raise DomainError(f"label must be a string, got {label!r}")
-    over = np.flatnonzero(tests.values > population)
+    require_type("label", label, str)
+    over = np.flatnonzero(series[bounded].values > population)
     if len(over):
-        raise PopulationExceeded(f"tests exceed population at day {int(over[0]) + 1}")
+        raise PopulationExceeded(
+            f"{bounded} exceed population at day {int(over[0]) + 1}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,8 @@ class Dataset:
 
     def __post_init__(self):
         c, t = self.cases, self.tests
-        require_record(self.population, self.label, t, cases=c, deaths=self.deaths)
+        require_record(self.population, self.label, "tests",
+                       cases=c, deaths=self.deaths, tests=t)
         over = np.flatnonzero(c.values > t.values)
         if len(over):
             day = int(over[0]) + 1
@@ -213,9 +215,7 @@ class AntibodyAnchor:
 
     def __post_init__(self):
         require_int("day_index", self.day_index, 1)
-        require_number(infected_count=self.infected_count)
-        if not 0 < self.infected_count <= sys.float_info.max:
-            raise DomainError("anchor infected count must be finite and positive")
+        require_real("infected_count", self.infected_count, 0, open_lo=True)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (AntibodyAnchor, DailySeries, Dataset, as_exponent, require_int,
+from .domain import (AntibodyAnchor, DailySeries, Dataset, require_int, require_real,
                      require_type)
 from .errors import (CalibrationFailed, DegenerateSeries, DomainError,
                      InfeasibleAnchorHigh, InfeasibleAnchorLow)
@@ -43,7 +43,7 @@ class CalibrationResult:
 
 def _infections(dataset: Dataset, m: float, days: int) -> np.ndarray:
     """Infection estimates at exponent m for the first `days` days."""
-    m = as_exponent("m", m)
+    m = require_real("m", m, 1, open_lo=True)
     cases, tests = dataset.cases.values[:days], dataset.tests.values[:days]
     positive = cases > 0  # Dataset guarantees cases <= tests, so tests > 0 here
     out = np.zeros_like(cases)

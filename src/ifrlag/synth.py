@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (MAX_POPULATION, DailySeries, Dataset, as_exponent, known_keys,
-                     read_json, require_int, require_number, require_record,
-                     require_type)
+from .domain import (MAX_POPULATION, DailySeries, Dataset, known_keys, read_json,
+                     require_int, require_real, require_record, require_type)
 from .errors import ConfigError, DomainError
 from .lagmodel import LagDistribution, shift_expectation_elongated
 
@@ -37,20 +36,17 @@ class Regime:
     def __post_init__(self):
         require_int("start_day", self.start_day, 1)
         require_int("end_day", self.end_day, self.start_day)
-        require_number(ifr=self.ifr)
-        if not 0.0 <= self.ifr <= 1.0:
-            raise DomainError(f"regime ifr {self.ifr} outside [0, 1]")
+        object.__setattr__(self, "ifr", require_real("ifr", self.ifr, 0, 1))
         require_type("lag", self.lag, LagDistribution)
-        object.__setattr__(self, "ifr", float(self.ifr))
 
 
 @dataclass(frozen=True)
 class Scenario:
     """The planted truth: daily infections, fatality regimes, test curve and m.
 
-    require_record checks the record as it does a Dataset's, the test curve
-    as its tests. Then the regimes must tile the period, the test curve be
-    positive and m_true a finite number > 1.
+    require_record checks the record as it does a Dataset's, with the test
+    curve in the place of its tests. Then the regimes must tile the period,
+    the test curve be positive and m_true a finite number > 1.
     """
 
     infections: DailySeries
@@ -61,8 +57,8 @@ class Scenario:
     label: str = "synthetic"
 
     def __post_init__(self):
-        require_record(self.population, self.label, self.test_curve,
-                       infections=self.infections)
+        require_record(self.population, self.label, "test_curve",
+                       infections=self.infections, test_curve=self.test_curve)
         if not isinstance(self.regimes, (tuple, list)):
             raise DomainError(f"regimes must be a tuple of Regime records, "
                               f"got {self.regimes!r}")
@@ -80,7 +76,8 @@ class Scenario:
             raise DomainError(f"regimes end at day {expected_start - 1}, need {k}")
         if np.any(self.test_curve.values <= 0):
             raise DomainError("test curve must be positive")
-        object.__setattr__(self, "m_true", as_exponent("m_true", self.m_true))
+        object.__setattr__(self, "m_true",
+                           require_real("m_true", self.m_true, 1, open_lo=True))
 
     def to_dict(self) -> dict:
         return {
@@ -170,7 +167,7 @@ def default_scenario(
     require_int("k", k, 1)
     require_int("window", window, 1)
     require_int("population", population, 1, MAX_POPULATION)
-    require_number(total_infections=total_infections)
+    require_real("total_infections", total_infections, 0)
     n_regimes = (k + window - 1) // window
     if len(ifrs) != n_regimes:
         raise DomainError(f"need {n_regimes} regime rates for k={k}, w={window}")

@@ -316,6 +316,7 @@ BAD_CONFIGS = {
     "population_infinite": lambda cfg: {**cfg, "population": float("inf")},
     "population_too_large": lambda cfg: {**cfg, "population": 10**400},
     "intervals_unknown_key": lambda cfg: {**cfg, "intervals": {"widht": 25}},
+    "intervals_max_lag": lambda cfg: {**cfg, "intervals": {"max_lag": 5}},
     "repair_unknown_key": lambda cfg: _dataset_with(cfg, repair={"gap_fill": "error"}),
     "top_level_unknown_key": lambda cfg: {**cfg, "max_lags": 10},
     "dataset_unknown_key": lambda cfg: _dataset_with(cfg, sha256="0"),
@@ -327,6 +328,10 @@ BAD_CONFIGS = {
         **cfg, "anchor": {**cfg["anchor"], "count": str(cfg["anchor"]["count"])}},
     "anchor_fraction_bool": lambda cfg: {
         **cfg, "anchor": {"date": cfg["anchor"]["date"], "fraction": True}},
+    "anchor_count_nan": lambda cfg: {
+        **cfg, "anchor": {**cfg["anchor"], "count": float("nan")}},
+    "anchor_fraction_infinite": lambda cfg: {
+        **cfg, "anchor": {"date": cfg["anchor"]["date"], "fraction": float("inf")}},
     "anchor_fraction_and_count": lambda cfg: {
         **cfg, "anchor": {**cfg["anchor"], "fraction": 0.1}},
     "anchor_without_fraction_or_count": lambda cfg: {
@@ -336,6 +341,14 @@ BAD_CONFIGS = {
         **cfg, "anchor": {"date": cfg["anchor"]["date"], "fraction": 1.5}},
     "label_number": lambda cfg: {**cfg, "label": 5},
     "label_null": lambda cfg: {**cfg, "label": None},
+}
+
+# the part of the error message a case must give, where the case pins one
+BAD_CONFIG_MESSAGES = {
+    "intervals_unknown_key": "unknown key(s) in intervals: widht",
+    "intervals_max_lag": "unknown key(s) in intervals: max_lag",
+    "anchor_count_nan": "anchor.count must be a finite number, got nan",
+    "anchor_fraction_infinite": "anchor.fraction must be a finite number, got inf",
 }
 
 
@@ -348,18 +361,23 @@ def test_malformed_config_exits_2(workspace, tmp_path, capsys, name):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(BAD_CONFIGS[name](cfg)))
     assert main(["fit-intervals", "--config", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert BAD_CONFIG_MESSAGES.get(name, "") in err
 
 
 def test_anchor_rule_checked_before_the_csv_is_read(workspace, tmp_path, capsys):
     _, _, config_path = workspace
-    cfg = json.loads(config_path.read_text())
-    cfg["dataset"]["path"] = str(tmp_path / "missing.csv")
-    cfg["anchor"]["fraction"] = 0.1
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(cfg))
-    assert main(["fit-intervals", "--config", str(bad)]) == 2
-    assert "give exactly one of fraction or count" in capsys.readouterr().err
+    for anchor, message in (
+            ({"fraction": 0.1}, "give exactly one of fraction or count"),
+            ({"count": float("nan")}, "anchor.count must be a finite number, got nan")):
+        cfg = json.loads(config_path.read_text())
+        cfg["dataset"]["path"] = str(tmp_path / "missing.csv")
+        cfg["anchor"].update(anchor)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["fit-intervals", "--config", str(bad)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_fraction_anchor_equals_count_anchor(workspace, tmp_path):

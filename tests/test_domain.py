@@ -192,7 +192,7 @@ BAD_INPUTS = {
                                 DomainError),
     "default_scenario_too_few_rates": (
         lambda: default_scenario(k=250, window=50, ifrs=(0.01,) * 4), DomainError),
-    # m past the float range or not a number: one rule, owned by domain.as_exponent
+    # m past the float range or not a number: one rule, owned by domain.require_real
     "estimate_infections_m_too_large": (
         lambda: estimate_infections(two_days(), 10**400), DomainError),
     "estimate_infections_m_string": (lambda: estimate_infections(two_days(), "3"),

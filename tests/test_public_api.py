@@ -188,7 +188,20 @@ def test_bad_date_raises_a_typed_error(name, param, bad):
 def test_bad_record_raises_a_typed_error(name, param, bad):
     kwargs = VALID_CALLS[name]()
     kwargs[param] = BAD_RECORDS[bad](kwargs[param])
-    with pytest.raises(DomainError, match="must be a "):
+    with pytest.raises(DomainError, match=f"^{param} must be a "):
+        getattr(ifrlag, name)(**kwargs)
+
+
+BAD_REALS = [True, math.nan, math.inf, -1, "3", None]
+
+
+@pytest.mark.parametrize("bad", BAD_REALS, ids=repr)
+@pytest.mark.parametrize("name,param", [(name, p) for name in sorted(VALID_CALLS)
+                                        for p in scalar_parameters(name, ("float",))])
+def test_bad_real_names_its_parameter(name, param, bad):
+    kwargs = VALID_CALLS[name]()
+    kwargs[param] = bad
+    with pytest.raises(DomainError, match=f"^{param} must be "):
         getattr(ifrlag, name)(**kwargs)
 
 

@@ -154,6 +154,30 @@ def test_bench_pairs_summary():
     rate = out["ops_per_s"]
     assert (rate["wins"], rate["win_frac"], rate["gain"]) == (0, 0.0, False)
     assert not rate["within_bound"]
+    # the parent's interquartile range (0.01 and 1.0) is 9% and 11% of its
+    # median, inside the 0.24 bound, so both metrics are resolved
+    assert not p50["unresolved"] and not rate["unresolved"]
+
+
+def test_bench_pairs_marks_noise_as_unresolved():
+    bench = load_bench_pairs()
+    metric = [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+    def summary(parent, change):
+        pairs = [{"parent": {"setup_s": p}, "change": {"setup_s": c}}
+                 for p, c in zip(parent, change)]
+        return bench.summarize(pairs, metric)["setup_s"]
+
+    # the parent's runs spread over 4.0 of a 10.0 median, past the bound: a
+    # change 30% slower is unresolved, not worse
+    noisy = summary([6.0, 8.0, 10.0, 12.0, 14.0], [7.0, 10.0, 13.0, 15.0, 16.0])
+    assert (noisy["within_bound"], noisy["unresolved"]) == (False, True)
+    # ... unless every run of the change beats every run of the parent
+    better = summary([6.0, 8.0, 10.0, 12.0, 14.0], [2.0, 3.0, 4.0, 5.0, 5.5])
+    assert (better["within_bound"], better["unresolved"]) == (True, False)
+    # a tight parent leaves the same slowdown resolved
+    tight = summary([9.8, 9.9, 10.0, 10.1, 10.2], [12.8, 12.9, 13.0, 13.1, 13.2])
+    assert (tight["within_bound"], tight["unresolved"]) == (False, False)
 
 
 def test_bench_pairs_alternates_traced_runs(monkeypatch, tmp_path):

@@ -293,7 +293,7 @@ def test_scenario_field_validation():
     with pytest.raises(DomainError, match="test curve must be positive"):
         Scenario(i, (Regime(1, 5, 0.1, lag),), 1000,
                  DailySeries(DEFAULT_ORIGIN, [10.0, 0.0, 10.0, 10.0, 10.0]), m_true=2.0)
-    with pytest.raises(LengthMismatch, match="series lengths differ: infections=5 tests=4"):
+    with pytest.raises(LengthMismatch, match="series lengths differ: infections=5 test_curve=4"):
         Scenario(i, (Regime(1, 5, 0.1, lag),), 1000,
                  DailySeries(DEFAULT_ORIGIN, np.full(4, 10.0)), m_true=2.0)
     with pytest.raises(DomainError, match="regimes must be a tuple of Regime records"):
