@@ -114,6 +114,16 @@ def _traced(checkouts: dict, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
+def _host() -> dict:
+    """The machine and interpreter both sides ran on, and whether Python may
+    write bytecode caches: without them every fresh process compiles each
+    module again, which lengthens a cold op."""
+    import numpy
+    return {"nproc": len(os.sched_getaffinity(0)), "machine": platform.machine(),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+
+
 def _identity(checkout: Path) -> dict:
     """The git commit (with a dirty flag) and a digest of src/ifrlag/*.py."""
     digest = hashlib.sha256()
@@ -163,8 +173,7 @@ def main() -> int:
             traced[workload] = _traced(checkouts, workload, seed, seconds)
 
     args.out.write_text(json.dumps({
-        "host": {"nproc": len(os.sched_getaffinity(0)), "machine": platform.machine(),
-                 "python": platform.python_version()},
+        "host": _host(),
         **{side: _identity(path) for side, path in checkouts.items()},
         "sets": sets,
         "traces": traced,

@@ -5,50 +5,31 @@ from test coverage (exponent calibrated against one antibody survey), then
 jointly fit a discrete uniform lag law and a fatality rate per time window
 by least squares against reported deaths, carrying residual deaths across
 window boundaries.
+
+Each public name is imported from the module that owns it the first time it
+is used, so `import ifrlag` loads no submodule and no numpy.
 """
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .domain import (
-    AntibodyAnchor,
-    DailySeries,
-    Dataset,
-    FitResult,
-    error_metric,
-)
-from .fit import FitConfig, best_fit, closed_form_ifr
-from .infection import CalibrationResult, anchor_sum, calibrate_m, estimate_infections
-from .ingest import ColumnMapping, RepairPolicy, load_dataset, write_dataset_csv
-from .intervals import IntervalConfig, IntervalReport, fit_intervals
-from .lagmodel import LagDistribution, shift_expectation, shift_expectation_elongated
-from .synth import Regime, Scenario, default_scenario, generate_deaths, generate_observables
+_OWNER = {name: module for module, names in {
+    "domain": ("AntibodyAnchor", "DailySeries", "Dataset", "FitResult", "error_metric"),
+    "fit": ("FitConfig", "best_fit", "closed_form_ifr"),
+    "infection": ("CalibrationResult", "anchor_sum", "calibrate_m", "estimate_infections"),
+    "ingest": ("ColumnMapping", "RepairPolicy", "load_dataset", "write_dataset_csv"),
+    "intervals": ("IntervalConfig", "IntervalReport", "fit_intervals"),
+    "lagmodel": ("LagDistribution", "shift_expectation", "shift_expectation_elongated"),
+    "synth": ("Regime", "Scenario", "default_scenario", "generate_deaths",
+              "generate_observables"),
+}.items() for name in names}
 
-__all__ = [
-    "AntibodyAnchor",
-    "CalibrationResult",
-    "ColumnMapping",
-    "DailySeries",
-    "Dataset",
-    "FitConfig",
-    "FitResult",
-    "IntervalConfig",
-    "IntervalReport",
-    "LagDistribution",
-    "Regime",
-    "RepairPolicy",
-    "Scenario",
-    "anchor_sum",
-    "best_fit",
-    "calibrate_m",
-    "closed_form_ifr",
-    "default_scenario",
-    "error_metric",
-    "estimate_infections",
-    "fit_intervals",
-    "generate_deaths",
-    "generate_observables",
-    "load_dataset",
-    "shift_expectation",
-    "shift_expectation_elongated",
-    "write_dataset_csv",
-]
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    # any other name raises AttributeError, so `from ifrlag import synth`
+    # falls back to importing the submodule
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_OWNER[name]}", __name__), name)

@@ -34,7 +34,6 @@ from .ingest import (COLUMNS, ColumnMapping, RepairPolicy, csv_text, dataset_csv
                      load_dataset)
 from .intervals import IntervalConfig, IntervalReport, fit_intervals
 from .svgchart import line_chart
-from .synth import Scenario, generate_observables
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -106,7 +105,7 @@ class RunConfig:
             return cls(settings, (base / ds["path"]).resolve(),
                        (base / data.get("output_dir", "out")).resolve(),
                        columns, repair, (start, end), anchor_date, intervals)
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (DataError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
 
 
@@ -209,6 +208,8 @@ def cmd_fit_intervals(config: RunConfig) -> None:
 
 
 def cmd_simulate(scenario_path, output_dir, seed: int, mode: str) -> None:
+    from .synth import Scenario, generate_observables  # only simulate needs synth
+
     scenario = Scenario.from_json(scenario_path)
     dataset = generate_observables(scenario, mode=mode, seed=seed)
     out = Path(output_dir)

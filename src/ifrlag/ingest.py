@@ -22,6 +22,7 @@ import csv
 import datetime as dt
 import io
 import json
+import math
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
@@ -86,14 +87,14 @@ def _parse_count(raw: str, field: str, line_no: int) -> float:
     """A cell's whole count, or NaN when the cell is missing."""
     token = raw.strip()
     if token.lower() in MISSING_TOKENS:
-        return np.nan
+        return math.nan
     try:
         value = float(token)
     except ValueError:
         raise UnparseableRow(
             f"line {line_no}: {field} value {raw!r} is not numeric"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise UnparseableRow(f"line {line_no}: {field} value {raw!r} is not finite")
     if value < 0:
         raise PolicyViolation(f"line {line_no}: negative {field} value {value:g}")

@@ -343,6 +343,12 @@ BAD_CONFIGS = {
     "label_null": lambda cfg: {**cfg, "label": None},
 }
 
+# the cases that pass RunConfig.from_json and fail once the CSV is read: every
+# other case's error names the config file
+FAILS_AFTER_INGEST = {"population_fraction", "population_float", "population_infinite",
+                      "population_too_large", "label_number", "label_null",
+                      "anchor_fraction_above_one"}
+
 # the part of the error message a case must give, where the case pins one
 BAD_CONFIG_MESSAGES = {
     "intervals_unknown_key": "unknown key(s) in intervals: widht",
@@ -364,6 +370,8 @@ def test_malformed_config_exits_2(workspace, tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert "error:" in err
     assert BAD_CONFIG_MESSAGES.get(name, "") in err
+    if name not in FAILS_AFTER_INGEST:
+        assert f"error: bad config {bad}: " in err
 
 
 def test_anchor_rule_checked_before_the_csv_is_read(workspace, tmp_path, capsys):
@@ -492,7 +500,7 @@ def test_shipped_configs_parse(path):
 def test_negative_max_lag_override_exits_2(workspace, tmp_path, capsys):
     cfg = _config_file(workspace, tmp_path, max_lag=-1)
     assert main(["fit-intervals", "--config", cfg]) == 2
-    assert "error: max_lag must be >= 0" in capsys.readouterr().err
+    assert f"error: bad config {cfg}: max_lag must be >= 0" in capsys.readouterr().err
 
 
 def _file_at(path: Path) -> Path:
@@ -674,3 +682,27 @@ def test_cli_import_skips_network_and_mail_modules():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True, env=CHILD_ENV)
     assert proc.stdout.strip() == "[]"
+
+
+def _child_modules(code: str, *args: str) -> list[str]:
+    """The ifrlag and numpy modules a fresh Python has loaded after running code."""
+    probe = (code + "\nprint(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('ifrlag', 'numpy')))")
+    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
+                          text=True, check=True, env=CHILD_ENV)
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_import_graph_is_lazy(workspace, tmp_path):
+    # import ifrlag loads no submodule and no numpy; fit-intervals never
+    # loads synth, which only simulate needs
+    assert _child_modules("import sys, ifrlag") == ["ifrlag"]
+    run = ("import runpy, sys\n"
+           "sys.argv = ['ifrlag', 'fit-intervals', '--config', sys.argv[1]]\n"
+           "try:\n"
+           "    runpy.run_module('ifrlag', run_name='__main__')\n"
+           "except SystemExit as exc:\n"
+           "    assert exc.code == 0, exc.code")
+    loaded = _child_modules(run, _config_file(workspace, tmp_path))
+    assert "ifrlag.cli" in loaded and "ifrlag.synth" not in loaded
+    assert (tmp_path / "out/report.json").is_file()

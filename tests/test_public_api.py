@@ -10,6 +10,7 @@ import argparse
 import ast
 import dataclasses
 import datetime as dt
+import importlib
 import inspect
 import math
 import os
@@ -49,6 +50,17 @@ def test_defaulted_parameter_count():
 
 def test_public_name_count():
     assert len(ifrlag.__all__) == PUBLIC_NAMES, ifrlag.__all__
+
+
+def test_each_public_name_is_its_owner_modules_object():
+    for name in ifrlag.__all__:
+        owner = importlib.import_module(f"ifrlag.{ifrlag._OWNER[name]}")
+        assert getattr(ifrlag, name) is getattr(owner, name), name
+    star = {}
+    exec("from ifrlag import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(ifrlag.__all__)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        ifrlag.no_such_name
 
 
 def _options(parser: argparse.ArgumentParser) -> list[str]:
@@ -239,7 +251,5 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    # __init__.py imports names only to re-export them
-    modules = sorted(p for p in pathlib.Path(ifrlag.__file__).parent.glob("*.py")
-                     if p.name != "__init__.py")
+    modules = sorted(pathlib.Path(ifrlag.__file__).parent.glob("*.py"))
     assert [u for path in modules for u in unused_imports(path)] == []

@@ -200,12 +200,16 @@ def test_bench_pairs_alternates_traced_runs(monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "argv", [
         "bench_pairs.py", "--parent", str(tmp_path / "parent"), "--change",
         str(tmp_path / "change"), "--set", "window_sweep:0:2", "--out", str(out)])
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     assert bench.main() == 0
     # two pairs, then three traced runs per side, each round alternating
     assert calls == [("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
                      ("parent", 1), ("change", 1), ("change", 1), ("parent", 1),
                      ("parent", 1), ("change", 1)]
-    traced = json.loads(out.read_text())["traces"]["window_sweep"]
+    written = json.loads(out.read_text())
+    assert (written["host"]["numpy"], written["host"]["PYTHONDONTWRITEBYTECODE"]) == \
+        (np.__version__, "1")
+    traced = written["traces"]["window_sweep"]
     assert traced["parent"] == {"fit.best_fit.s": {"values": [5.0, 8.0, 9.0], "median": 8.0}}
     assert traced["change"] == {"fit.best_fit.s": {"values": [6.0, 7.0, 10.0], "median": 7.0}}
 
