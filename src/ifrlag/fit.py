@@ -6,13 +6,14 @@ r = (i' . d) / ||i'||^2, and its minimum is ||d||^2 - (i' . d)^2 / ||i'||^2.
 The lag pair is the best over every integer a <= b <= min(max_lag, k-1)
 for k days: a lag of k days or more lands nothing inside the window, so the
 data cannot tell such pairs apart. It is found by a filter and a re-score.
-The filter reads every pair's minimum off summed-area tables of lag sums in
-O(k L + L^2) time and memory (L the lag bound, at most k-1), with a bound
-on its rounding from the deaths' norm by Cauchy-Schwarz (infections are
-counts, never negative). The per-pair path, the three owners of the
-formulas (shift_expectation, closed_form_ifr and error_metric), then scores
-only the pairs whose interval reaches the lowest upper bound, so the result
-is the exhaustive per-pair search's, bit for bit.
+The filter reads every pair's minimum off two surfaces, both from one
+(L+1) x k product of suffix lag sums: O(k L^2) arithmetic and O(k L + L^2)
+memory (L the lag bound, at most k-1), with a bound on its rounding from
+the deaths' norm by Cauchy-Schwarz (infections are counts, never negative).
+The per-pair path, the three owners of the formulas (shift_expectation,
+closed_form_ifr and error_metric), then scores only the pairs whose
+interval reaches the lowest upper bound, so the result is the exhaustive
+per-pair search's, bit for bit.
 """
 from __future__ import annotations
 
@@ -67,46 +68,27 @@ def _score(iv: np.ndarray, dv: np.ndarray, a: int, b: int) -> FitResult | None:
 
 
 def _surfaces(iv: np.ndarray, dv: np.ndarray, n: int):
-    """Suffix sums over the lags l, l' < n of x_l = sum_j d[j] i[j-l] and of
-    the lag Gram G[l, l'] = sum_j i[j-l] i[j-l'] (days j < k).
+    """The suffix lag sums C_a = sum_{l=a}^{n-1} shift_l(i) over days j < k,
+    and both surfaces read off them: XR[a] = C_a . d and the summed-area
+    table of the lag Gram G[l, l'] = sum_j i[j-l] i[j-l'], flattened,
+    R[a * (n+1) + a'] = C_a . C_a' = sum_{l >= a, l' >= a'} G[l, l'], both
+    zero-padded at index n.
 
-    Returns XR[a] = sum_{l >= a} x_l and the summed-area table, flattened,
-    R[a * (n+1) + a'] = sum_{l >= a, l' >= a'} G[l, l'], both zero-padded at
-    index n. Summed from the long lags, with i >= 0, R[a, a] rounds within
-    g R[a, a] and XR[a] within g sum_j |d[j]| S_a[j] <= g sqrt(dd R[a, a])
-    (Cauchy-Schwarz), S_a = sum_{l >= a} shift_l(i), g as in _error_bounds.
+    With i >= 0 every term of C and of C . C^T is non-negative, so in any
+    summation order R[a, a] rounds within g R[a, a], and XR[a] within
+    g sum_j |d[j]| C_a[j] <= g sqrt(dd R[a, a]) (Cauchy-Schwarz), g as in
+    _error_bounds.
     """
     k = len(iv)
-
-    def later(x):
-        """later(x)[t, j] = x[j + t], zero past the end, as a strided view
-        (sliding_window_view goes through __array_interface__, which left
-        about 1 MiB allocated after some thousand calls)."""
-        return np.ndarray((n, k), buffer=np.concatenate([x, np.zeros(n)]),
-                          strides=(x.itemsize, x.itemsize))
-
-    XR = np.append((later(dv) * iv).sum(axis=1)[::-1].cumsum()[::-1], 0.0)
-    # i[j + t] i[j], summed over j <= m in place: csum[t, m]
-    csum = later(iv) * iv
-    np.cumsum(csum, axis=1, out=csum)
-    # the Gram, read from the long lags, summed in place into the suffix table
-    rev = csum.take(_gram_index(k, n))
-    np.cumsum(rev, axis=0, out=rev)
-    np.cumsum(rev, axis=1, out=rev)
+    # row t is shift_{n-1-t}(i), a strided view (sliding_window_view goes
+    # through __array_interface__, which left about 1 MiB allocated after
+    # some thousand calls); the cumsum's row t is C_{n-1-t}, contiguous, so
+    # the products run on it and only their small results are reversed
+    C = np.ndarray((n, k), buffer=np.concatenate([np.zeros(n - 1), iv]),
+                   strides=(iv.itemsize, iv.itemsize)).cumsum(axis=0)
     R = np.zeros((n + 1, n + 1))
-    R[:n, :n] = rev[::-1, ::-1]
-    return XR, R.ravel()
-
-
-@functools.lru_cache(maxsize=4)
-def _gram_index(k: int, n: int) -> np.ndarray:
-    """Flat indices into _surfaces' csum of the lag Gram, rows and columns
-    reversed: G[l, l'] = csum[|l - l'|, k - 1 - max(l, l')]. Read-only and
-    cached, since every full window of a sweep has the same k and n."""
-    lags = np.arange(n)[::-1]
-    index = abs(lags[:, None] - lags) * k + k - 1 - np.maximum(lags[:, None], lags)
-    index.flags.writeable = False
-    return index
+    R[:n, :n] = (C @ C.T)[::-1, ::-1]
+    return np.append((C @ dv)[::-1], 0.0), R.ravel()
 
 
 @functools.lru_cache(maxsize=4)
@@ -114,7 +96,8 @@ def _pair_index(n: int, last_a: int):
     """The pairs a <= b <= n-1, a <= last_a, in lexicographic order; their
     ends, rows a and e = b + 1 (the first lag past the pair); and the flat
     indices of their corners R[a, a], R[a, e], R[e, a] and R[e, e], one row
-    each. Read-only and cached, like _gram_index."""
+    each. Read-only and cached, since every full window of a sweep has the
+    same n and last_a."""
     a, b = np.nonzero(np.arange(n) >= np.arange(last_a + 1)[:, None])
     ends = np.array((a, b + 1))
     corners = ends[[0, 0, 1, 1]] * (n + 1) + ends[[0, 1, 0, 1]]
@@ -177,7 +160,8 @@ def best_fit(i, d, config: FitConfig = FitConfig()) -> FitResult:
     skipped.
 
     The search filters, then re-scores. _error_bounds brackets the error of
-    every pair in O(k L + L^2) time and memory. Only the pairs whose
+    every pair off two surfaces, both from one (L+1) x k product: O(k L^2)
+    arithmetic and O(k L + L^2) memory. Only the pairs whose
     interval reaches the lowest upper bound, usually one, are scored by the
     per-pair path, in lexicographic order with strict improvement, at O(k L)
     each. Every other pair is worse than one of them, so the winner, its

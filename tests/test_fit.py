@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -257,39 +260,55 @@ def mixed_scale_cases(draw):
     return i, d, FitConfig(max_lag=draw(st.integers(0, k)))
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(fit_cases(), mixed_scale_cases()))
-# every shifted norm underflows to zero
-@example((np.array([1e-170, 0.0, 0.0]), np.ones(3), FitConfig(max_lag=3)))
-# no deaths: every pair ties at error 0
-@example((np.array([0.0, 0.0, 10.0]), np.zeros(3), FitConfig(max_lag=5)))
-# k = 2 with max_lag >= k
-@example((np.array([1.0, 1.0]), np.array([1.0, 0.0]), FitConfig(max_lag=4)))
-# U(1, 4) rounds to error 0 in a 4-day window, below U(1, 3), which fits
-# alike in exact arithmetic
-@example((np.array([2.0, 6.0, 5.0, 3.0]), np.array([0.0, 6.0, 24.0, 39.0]),
-          FitConfig(max_lag=4)))
-# a bound far past the window, and past what np.arange can allocate
-@example((np.ones(5), np.ones(5), FitConfig(max_lag=10**20)))
-# two near-exact fits, closer than the surface's rounding
-@example((np.array([1e-3, 34.0]), np.array([1e-3, 34.0]), FitConfig(max_lag=1)))
-# the same near-tie with negative deaths (a negative IFR)
-@example((np.array([1e-3, 34.0]), np.array([-1e-3, -34.0]), FitConfig(max_lag=1)))
-# U(1, 2) fits best, but the square of its lag sum num, about 1e-340, falls
-# below the float range
-@example((np.array([1e-100, 0.0, 1.0]), np.array([0.0, 1e-70, 5e-71]),
-          FitConfig(max_lag=2)))
-# deaths so small that dd and every product with d fall below the normal
-# range, where rounding is no longer relative
-@example((np.array([0.004, 4.56]), np.array([2.7e-158, 0.0]), FitConfig(max_lag=1)))
-# Gram entries below the normal range: U(0, 0)'s den is far off, and U(0, 1)
-# is re-scored in its place
-@example((np.array([1e-167, 1e-159]), np.ones(2), FitConfig(max_lag=1)))
-def test_best_fit_equals_per_pair_search(case):
+# windows where the filter once went wrong, each with what it exercises:
+# examples of test_best_fit_equals_per_pair_search, and re-run under other
+# BLAS and SIMD kernels
+EDGE_CASES = (
+    # every shifted norm underflows to zero
+    (np.array([1e-170, 0.0, 0.0]), np.ones(3), FitConfig(max_lag=3)),
+    # no deaths: every pair ties at error 0
+    (np.array([0.0, 0.0, 10.0]), np.zeros(3), FitConfig(max_lag=5)),
+    # k = 2 with max_lag >= k
+    (np.array([1.0, 1.0]), np.array([1.0, 0.0]), FitConfig(max_lag=4)),
+    # U(1, 4) rounds to error 0 in a 4-day window, below U(1, 3), which fits
+    # alike in exact arithmetic
+    (np.array([2.0, 6.0, 5.0, 3.0]), np.array([0.0, 6.0, 24.0, 39.0]), FitConfig(max_lag=4)),
+    # a bound far past the window, and past what np.arange can allocate
+    (np.ones(5), np.ones(5), FitConfig(max_lag=10**20)),
+    # two near-exact fits, closer than the surface's rounding
+    (np.array([1e-3, 34.0]), np.array([1e-3, 34.0]), FitConfig(max_lag=1)),
+    # the same near-tie with negative deaths (a negative IFR)
+    (np.array([1e-3, 34.0]), np.array([-1e-3, -34.0]), FitConfig(max_lag=1)),
+    # U(1, 2) fits best, but the square of its lag sum num, about 1e-340,
+    # falls below the float range
+    (np.array([1e-100, 0.0, 1.0]), np.array([0.0, 1e-70, 5e-71]), FitConfig(max_lag=2)),
+    # deaths so small that dd and every product with d fall below the normal
+    # range, where rounding is no longer relative
+    (np.array([0.004, 4.56]), np.array([2.7e-158, 0.0]), FitConfig(max_lag=1)),
+    # Gram entries below the normal range: U(0, 0)'s den is far off, and
+    # U(0, 1) is re-scored in its place
+    (np.array([1e-167, 1e-159]), np.ones(2), FitConfig(max_lag=1)),
+)
+
+
+def assert_equals_per_pair_search(case):
     # best_fit searches no lag of k days or more, whatever max_lag is
     i, d, config = case
     capped = FitConfig(min(config.max_lag, len(i) - 1))
     assert _outcome(best_fit, i, d, config) == _outcome(loop_best_fit, i, d, capped)
+
+
+def with_edge_cases(test):
+    for case in reversed(EDGE_CASES):
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(fit_cases(), mixed_scale_cases()))
+@with_edge_cases
+def test_best_fit_equals_per_pair_search(case):
+    assert_equals_per_pair_search(case)
 
 
 @pytest.mark.filterwarnings("error")
@@ -304,9 +323,7 @@ def test_best_fit_equals_per_pair_search_at_extreme_scales(case, e_i, e_d):
     # rates overflow, and products with d fall below the normal range, where
     # _error_bounds' guards act
     i, d, config = case
-    i, d = i * 10.0**e_i, d * 10.0**e_d
-    capped = FitConfig(min(config.max_lag, len(i) - 1))
-    assert _outcome(best_fit, i, d, config) == _outcome(loop_best_fit, i, d, capped)
+    assert_equals_per_pair_search((i * 10.0**e_i, d * 10.0**e_d, config))
 
 
 def bound_cases():
@@ -345,10 +362,50 @@ def test_error_bounds_contain_every_pair():
                 assert lo[p] <= fit.error <= hi[p], (len(i), max_lag, a[p], b[p])
 
 
-# the formulas whose rounding follows the BLAS kernel, and the one function
-# each is written in: every other caller goes through it
+KERNELS = {"OPENBLAS_CORETYPE": "Haswell",
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+@pytest.mark.parametrize("variable", sorted(KERNELS))
+def test_filter_choice_holds_under_other_kernels(variable):
+    # numpy picks its BLAS and SIMD kernels when it is imported, so a child
+    # process started with the variable set re-runs the bound and search
+    # checks there
+    child = ("import sys; sys.path[:0] = sys.argv[1:]; import test_fit; "
+             "test_fit.test_error_bounds_contain_every_pair(); "
+             "[test_fit.assert_equals_per_pair_search(c) for c in test_fit.EDGE_CASES]")
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(tests), str(tests.parent / "src")],
+        capture_output=True, text=True, env={**os.environ, variable: KERNELS[variable]},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("k, n, lead", [(1, 1, 0), (5, 1, 0), (5, 5, 0), (30, 12, 0),
+                                        (50, 50, 0), (30, 12, 9)])
+def test_surfaces_equal_their_definition(k, n, lead):
+    # small integers, so every sum is exact in float64 and in any order
+    rng = np.random.default_rng(1000 * k + n + lead)
+    i = [0] * lead + [int(v) for v in rng.integers(0, 40, k - lead)]
+    d = [int(v) for v in rng.integers(-40, 40, k)]
+    shifted = [[i[j - l] if j >= l else 0 for j in range(k)] for l in range(n)]
+    x = [sum(dj * sj for dj, sj in zip(d, s)) for s in shifted]
+    gram = [[sum(p * q for p, q in zip(s, t)) for t in shifted] for s in shifted]
+    XR, R = fit_module._surfaces(np.array(i, float), np.array(d, float), n)
+    for a in range(n + 1):
+        assert XR[a] == sum(x[a:])
+        for a2 in range(n + 1):
+            assert R[a * (n + 1) + a2] == sum(sum(row[a2:]) for row in gram[a:]), (a, a2)
+
+
+# the formulas whose rounding follows the BLAS kernel, and the functions they
+# are written in: every other caller goes through one of them. _surfaces' two
+# products only choose which pairs the per-pair path re-scores, and their
+# rounding sits inside _error_bounds' margin, so it never reaches an output
+# byte (test_filter_choice_holds_under_other_kernels)
 FORMULA_OWNERS = {"np.convolve": {"shift_expectation_elongated"},
-                  "@": {"closed_form_ifr", "error_metric"}}
+                  "@": {"closed_form_ifr", "error_metric", "_surfaces"}}
 
 
 def _formulas(node):
